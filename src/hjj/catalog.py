@@ -449,25 +449,30 @@ def _admissible_points(entry: CatalogEntry, grid) -> list:
         values = dict(zip(entry.params, combo))
         if entry.admissible(values):
             points.append(values)
-    if not entry.params and entry.admissible({}):
-        points.append({})
     return points
+
+
+def _catalog_index(dim: int, grid) -> dict:
+    """{Invariants: names} over every admissible grid point of the catalog
+    entries of this dimension.  Each point's invariants are computed once;
+    names keep catalog order and appear once per key."""
+    index = {}
+    for entry in _CATALOG:
+        if entry.dim != dim:
+            continue
+        for values in _admissible_points(entry, grid):
+            names = index.setdefault(isomorphism_invariants(entry.instantiate(values)), [])
+            if entry.name not in names:
+                names.append(entry.name)
+    return {inv: tuple(names) for inv, names in index.items()}
 
 
 def match_catalog(algebra: Algebra, grid=DEFAULT_GRID) -> tuple:
     """Names of catalog entries with identical invariants at some admissible
-    grid point.  Equality of invariants never claims isomorphism; a match is
-    'possibly isomorphic', a non-match is a certificate of difference."""
-    inv = isomorphism_invariants(algebra)
-    names = []
-    for entry in _CATALOG:
-        if entry.dim != algebra.dim:
-            continue
-        for values in _admissible_points(entry, grid):
-            if isomorphism_invariants(entry.instantiate(values)) == inv:
-                names.append(entry.name)
-                break
-    return tuple(names)
+    grid point, looked up in an invariant index built for this call.
+    Equality of invariants never claims isomorphism; a match is 'possibly
+    isomorphic', a non-match is a certificate of difference."""
+    return _catalog_index(algebra.dim, grid).get(isomorphism_invariants(algebra), ())
 
 
 def _abelian1(a) -> Algebra:
@@ -531,16 +536,11 @@ def classify(dim_target: int, grid=DEFAULT_GRID) -> list:
         raw = _classify3(grid)
     else:
         raise ValueError("classification is implemented for dimensions 2 and 3")
+    index = _catalog_index(dim_target, grid)
     outputs = []
     for algebra, provenance in raw:
-        outputs.append(
-            ClassifyOutput(
-                algebra,
-                provenance,
-                isomorphism_invariants(algebra),
-                match_catalog(algebra, grid),
-            )
-        )
+        inv = isomorphism_invariants(algebra)
+        outputs.append(ClassifyOutput(algebra, provenance, inv, index.get(inv, ())))
     return outputs
 
 

@@ -53,6 +53,13 @@ def _write(path: str, doc: docs.Document):
         handle.write(docs.emit_document(doc))
 
 
+def _rational(text: str, field: str):
+    try:
+        return QQ(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad rational {text!r}", field=field) from exc
+
+
 def _parse_params(text: str) -> dict:
     params = {}
     if not text:
@@ -61,22 +68,15 @@ def _parse_params(text: str) -> dict:
         if "=" not in piece:
             raise SchemaError(f"bad parameter {piece!r}, expected name=value", field="--params")
         name, _, value = piece.partition("=")
-        try:
-            params[name.strip()] = QQ(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational {value!r}", field="--params") from exc
+        params[name.strip()] = _rational(value, "--params")
     return params
 
 
-def _parse_grid(text: str):
-    values = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if piece:
-            values.append(QQ(piece))
+def _parse_grid(text: str, field: str):
+    values = tuple(_rational(piece, field) for piece in text.split(",") if piece.strip())
     if not values:
-        raise SchemaError("empty grid", field="--grid")
-    return tuple(values)
+        raise SchemaError("empty grid", field=field)
+    return values
 
 
 def _emit(args, human: str, payload: dict):
@@ -289,9 +289,9 @@ def cmd_classify(args) -> int:
     grid = DEFAULT_GRID
     env = os.environ.get(GRID_ENV)
     if args.grid:
-        grid = _parse_grid(args.grid)
+        grid = _parse_grid(args.grid, "--grid")
     elif env:
-        grid = _parse_grid(env)
+        grid = _parse_grid(env, GRID_ENV)
     outputs = classify(args.dim, grid)
     families = sorted({name for out in outputs for name in out.matched})
     lines = [f"outputs: {len(outputs)}", f"matched catalog families: {', '.join(families) or '-'}"]

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from hjj import QQ, Matrix
@@ -186,3 +188,52 @@ def test_match_catalog_is_selective():
     matched = match_catalog(a)
     assert "J^2_{2,1}" in matched
     assert "J^5_{2,1}" not in matched
+
+
+TWO_POINT_GRID = (QQ(2), QQ(-1, 3))
+
+
+def _scan_catalog(algebra, grid):
+    """Reference matcher: rescan every catalog entry, stopping at its first
+    admissible grid point with the same invariants."""
+    inv = isomorphism_invariants(algebra)
+    names = []
+    for entry in catalog_list():
+        if entry.dim != algebra.dim:
+            continue
+        for combo in product(grid, repeat=len(entry.params)):
+            values = dict(zip(entry.params, combo))
+            if entry.admissible(values) and isomorphism_invariants(entry.instantiate(values)) == inv:
+                names.append(entry.name)
+                break
+    return tuple(names)
+
+
+def test_classify_computes_each_invariant_once(monkeypatch):
+    import hjj.catalog
+
+    calls = []
+
+    def counting(algebra):
+        calls.append(algebra)
+        return isomorphism_invariants(algebra)
+
+    monkeypatch.setattr(hjj.catalog, "isomorphism_invariants", counting)
+    outputs = classify(3, TWO_POINT_GRID)
+    points = sum(
+        entry.admissible(dict(zip(entry.params, combo)))
+        for entry in catalog_list()
+        if entry.dim == 3
+        for combo in product(TWO_POINT_GRID, repeat=len(entry.params))
+    )
+    assert len(calls) == len(outputs) + points
+
+
+@pytest.mark.parametrize("dim, grid", [(2, DEFAULT_GRID), (3, TWO_POINT_GRID)])
+def test_index_matches_catalog_scan(dim, grid):
+    outputs = classify(dim, grid)
+    assert outputs
+    for out in outputs:
+        expected = _scan_catalog(out.algebra, grid)
+        assert out.matched == expected, out.provenance
+        assert match_catalog(out.algebra, grid) == expected
