@@ -108,6 +108,23 @@ class Algebra:
         return all(vec_is_zero(self.bracket_tensor[i][j]) for i in range(self.dim) for j in range(i, self.dim))
 
 
+def _structure_tables(a: Algebra) -> tuple:
+    """Sparse views of the structure constants, built for one operator
+    evaluation: ``(c, alpha_cols, alpha_br)`` with ``c[i][j]`` the nonzero
+    ``(k, c_ij^k)``, ``alpha_cols[k]`` the nonzero ``(u, alpha_uk)`` and
+    ``alpha_br[k][t]`` the nonzero coordinates ``(u, x)`` of
+    ``[alpha(e_k), e_t]``.  Operators sum over these entries only."""
+    r = range(a.dim)
+
+    def nonzero(v):
+        return tuple((u, x) for u, x in enumerate(v) if x != 0)
+
+    c = [[nonzero(a.bracket_tensor[i][j]) for j in r] for i in r]
+    alpha_cols = [nonzero(a.alpha.column(k)) for k in r]
+    alpha_br = [[nonzero(a.bracket(a.alpha.column(k), a.basis_vector(t))) for t in r] for k in r]
+    return c, alpha_cols, alpha_br
+
+
 @dataclass(frozen=True)
 class SubspaceOfAlgebra:
     parent: Algebra

@@ -149,8 +149,8 @@ def cmd_equivalent(args) -> int:
 def cmd_metric_verify(args) -> int:
     m = docs.metric_from_payload(_load(args.metric, "metric-algebra").payload)
     report = check_metric(m)
-    crit = metric_criterion(m)
-    duality = center_derived_duality(m)
+    crit = metric_criterion(m, report)
+    duality = center_derived_duality(m, report)
     human = "\n".join([report.describe(), crit.describe(), duality.describe()])
     payload = {
         "invariance": report.invariance.to_json(),

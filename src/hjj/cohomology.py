@@ -17,7 +17,7 @@ reconstructed from those values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .algebra import Algebra
+from .algebra import Algebra, _structure_tables
 from .errors import InvalidRepresentation, NotACochain
 from .linalg import (
     Matrix,
@@ -379,15 +379,6 @@ def scalar3_sym12_to_vector(f: ScalarForm) -> Vector:
     return tuple(f.value(i, j, t) for (i, j) in pairs(n) for t in range(n))
 
 
-def scalar3_sym12_from_vector(n: int, v: Vector) -> ScalarForm:
-    entries = {}
-    for idx, (i, j) in enumerate(pairs(n)):
-        for t in range(n):
-            entries[(i, j, t)] = v[idx * n + t]
-            entries[(j, i, t)] = v[idx * n + t]
-    return ScalarForm.from_entries(n, 3, entries)
-
-
 # ---------------------------------------------------------------------------
 # Cochain spaces
 # ---------------------------------------------------------------------------
@@ -614,25 +605,30 @@ def dr2(a: Algebra, f: ScalarForm) -> ScalarForm:
 def dr3(a: Algebra, g: ScalarForm) -> ScalarForm:
     """d_r^3 g(x,y,z,t) = g([x,y],alpha z,t) + g([x,z],alpha y,t)
     + g([y,z],alpha x,t) + g(x,y,[alpha z,t]) + g(y,z,[alpha x,t])
-    + g(x,z,[alpha y,t])."""
+    + g(x,z,[alpha y,t]).
+
+    Summed over nonzero structure constants: the first three terms through
+    ga[k][t][s] = g(e_s, alpha e_k, e_t), the last three through the
+    nonzero coordinates of [alpha e_k, e_t]."""
     if g.degree != 3 or g.dim != a.dim:
         raise ValueError("dr3 expects a trilinear form on the algebra")
     n = a.dim
-    alpha_cols = [a.alpha.column(i) for i in range(n)]
-    e = [a.basis_vector(i) for i in range(n)]
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for t in range(n):
-                    v = g.evaluate(a.bracket_basis(i, j), alpha_cols[k], e[t])
-                    v += g.evaluate(a.bracket_basis(i, k), alpha_cols[j], e[t])
-                    v += g.evaluate(a.bracket_basis(j, k), alpha_cols[i], e[t])
-                    v += g.evaluate(e[i], e[j], a.bracket(alpha_cols[k], e[t]))
-                    v += g.evaluate(e[j], e[k], a.bracket(alpha_cols[i], e[t]))
-                    v += g.evaluate(e[i], e[k], a.bracket(alpha_cols[j], e[t]))
-                    entries[(i, j, k, t)] = v
-    return ScalarForm.from_entries(n, 4, entries)
+    r = range(n)
+    c, alpha_cols, alpha_br = _structure_tables(a)
+    gv = g.coeffs
+    ga = [[[sum((x * gv[s][u][t] for u, x in alpha_cols[k]), ZERO) for s in r] for t in r] for k in r]
+
+    def value(i, j, k, t):
+        terms = []
+        for p, q, w in ((i, j, k), (i, k, j), (j, k, i)):
+            # g([e_p, e_q], alpha e_w, e_t) + g(e_p, e_q, [alpha e_w, e_t])
+            terms += [x * ga[w][t][s] for s, x in c[p][q] if ga[w][t][s]]
+            terms += [x * gv[p][q][u] for u, x in alpha_br[w][t] if gv[p][q][u]]
+        return sum(terms, ZERO)
+
+    return ScalarForm(
+        n, 4, tuple(tuple(tuple(tuple(value(i, j, k, t) for t in r) for k in r) for j in r) for i in r)
+    )
 
 
 # ---------------------------------------------------------------------------

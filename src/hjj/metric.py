@@ -11,6 +11,7 @@ gamma(x, y, z) = B([x, y], z) is fully symmetric and d_r^3 gamma = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .algebra import Algebra, SubspaceOfAlgebra, check_hom_jacobi, center, derived_series
 from .cohomology import ScalarForm, dr3
@@ -143,10 +144,12 @@ class CriterionReport:
         )
 
 
-def metric_criterion(m: MetricAlgebra) -> CriterionReport:
+def metric_criterion(m: MetricAlgebra, report: Optional[MetricReport] = None) -> CriterionReport:
     """gamma fully symmetric and d_r^3 gamma = 0, with the equivalence to
-    the axiom side evaluated on the same input."""
-    report = check_metric(m)
+    the axiom side evaluated on the same input.  ``report`` is
+    ``check_metric(m)`` when the caller already has it."""
+    if report is None:
+        report = check_metric(m)
     gamma = gamma_form(m)
     return CriterionReport(
         hom_invariance=report.hom_invariance,
@@ -193,9 +196,11 @@ class DualityReport:
         )
 
 
-def center_derived_duality(m: MetricAlgebra) -> DualityReport:
-    """Z(J) = [J, J]-perp, both sides computed independently."""
-    report = check_metric(m)
+def center_derived_duality(m: MetricAlgebra, report: Optional[MetricReport] = None) -> DualityReport:
+    """Z(J) = [J, J]-perp, both sides computed independently.  ``report`` is
+    ``check_metric(m)`` when the caller already has it."""
+    if report is None:
+        report = check_metric(m)
     z = center(m.algebra)
     series = derived_series(m.algebra)
     d1 = series[1] if len(series) > 1 else Subspace.zero(m.algebra.dim)

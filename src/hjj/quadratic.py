@@ -22,6 +22,7 @@ from .algebra import (
     Algebra,
     LinearMapBetweenAlgebras,
     SubspaceOfAlgebra,
+    _structure_tables,
     check_homomorphism,
     is_ideal,
 )
@@ -36,10 +37,9 @@ from .cohomology import (
     d2,
     dc2,
     dr2,
-    dr3,
+    pair_index,
     pairs,
     scalar2_from_vector,
-    scalar3_sym12_from_vector,
     scalar3_sym12_to_vector,
 )
 from .errors import ContainmentViolation, PreconditionFailure
@@ -134,19 +134,13 @@ def d2Q(c: QuadraticCochain2, qrep: QuadraticRepresentation) -> tuple[Cochain3, 
     a = theta.rep.algebra
     n = a.dim
     first = d2(theta)
-    g4 = dr3(a, gamma)
-    wedge_term = wedge(theta, theta.twist_arguments(), qrep.form)
+    dr3_part = _gamma_matrix(a).apply(scalar3_sym12_to_vector(gamma))
+    wedge_part = _contract_identity_slot(a, wedge(theta, theta.twist_arguments(), qrep.form))
     half = QQ(1, 2)
-    entries = {}
-    for idx in product(range(n), repeat=4):
-        i, j, k, l = idx
-        # substitute t = alpha(e_l) in the last slot of dr3(gamma)
-        v = ZERO
-        for t in range(n):
-            c_t = a.alpha.entry(t, l)
-            if c_t != 0:
-                v += c_t * g4.value(i, j, k, t)
-        entries[idx] = v + half * wedge_term.value(i, j, k, l)
+    entries = {
+        idx: g + half * w
+        for idx, g, w in zip(product(range(n), repeat=4), dr3_part, wedge_part)
+    }
     return first, ScalarForm.from_entries(n, 4, entries)
 
 
@@ -233,14 +227,8 @@ def compute_H2Q(a: Algebra, qrep: QuadraticRepresentation) -> H2QResult:
     npair = len(pairs(n))
     ambient = npair * n  # sym12 trilinear coordinates
     # linear gamma-condition: dr3(gamma)(. , . , . , alpha .) = 0
-    cols = []
-    for idx in range(ambient):
-        unit = tuple(QQ(1) if k == idx else ZERO for k in range(ambient))
-        g = scalar3_sym12_from_vector(n, unit)
-        g4 = dr3(a, g)
-        cols.append(_contract_last_slot(a, g4))
-    gamma_kernel = _kernel_cols(cols) if cols else ()
-    gamma_kernel = Subspace.from_spanning(ambient, gamma_kernel)
+    gamma_matrix = _gamma_matrix(a)
+    gamma_kernel = kernel_basis(gamma_matrix)
     # image of dr2 on C2_r
     c2r = c2r_space(a)
     im_vectors = []
@@ -276,7 +264,7 @@ def compute_H2Q(a: Algebra, qrep: QuadraticRepresentation) -> H2QResult:
     for t in z_basis:
         rhs = wedge(t, t.twist_arguments(), qrep.form).scale(QQ(-1, 2))
         target = _contract_identity_slot(a, rhs)
-        solution = solve(Matrix.from_columns(cols), target) if cols else None
+        solution = solve(gamma_matrix, target) if ambient else None
         if solution is None and any(x != 0 for x in target):
             fibers.append(FiberInfo(t, False, None))
         else:
@@ -289,27 +277,44 @@ def compute_H2Q(a: Algebra, qrep: QuadraticRepresentation) -> H2QResult:
     return H2QResult("fibered", theta_dims, gamma_dims, None, tuple(z_basis), tuple(fibers))
 
 
-def _contract_last_slot(a: Algebra, g4: ScalarForm):
-    """Vectorise (x,y,z,a) |-> g4(x,y,z,alpha(a)) over all index 4-tuples."""
+def _gamma_matrix(a: Algebra) -> Matrix:
+    """The gamma condition gamma |-> d_r^3 gamma(x, y, z, alpha(l)) as one
+    exact matrix, built from the nonzero structure constants: rows are the
+    index 4-tuples (i, j, k, l) in product order, columns the sym12
+    coordinates (pair, t) of gamma."""
     n = a.dim
-    out = []
-    for i, j, k, l in product(range(n), repeat=4):
-        v = ZERO
-        for t in range(n):
-            c = a.alpha.entry(t, l)
-            if c != 0:
-                v += c * g4.value(i, j, k, t)
-        out.append(v)
-    return tuple(out)
+    c, alpha_cols, alpha_br = _structure_tables(a)
+    pidx = pair_index(n)
+    ncols = len(pidx) * n
+
+    def col(x, y, z):
+        return pidx[(min(x, y), max(x, y))] * n + z
+
+    rows = []
+    for i, j, k in product(range(n), repeat=3):
+        # dr3_rows[t]: the row (i, j, k, t) of d_r^3
+        dr3_rows = [[ZERO] * ncols for _ in range(n)]
+        for t, row in enumerate(dr3_rows):
+            for p, q, r in ((i, j, k), (i, k, j), (j, k, i)):
+                # g([e_p, e_q], alpha e_r, e_t) + g(e_p, e_q, [alpha e_r, e_t])
+                for s, x in c[p][q]:
+                    for u, y in alpha_cols[r]:
+                        row[col(s, u, t)] += x * y
+                for u, x in alpha_br[r][t]:
+                    row[col(p, q, u)] += x
+        for l in range(n):
+            rows.append(
+                tuple(
+                    sum((x * dr3_rows[t][m] for t, x in alpha_cols[l] if dr3_rows[t][m]), ZERO)
+                    for m in range(ncols)
+                )
+            )
+    return Matrix(len(rows), ncols, tuple(rows))
 
 
 def _contract_identity_slot(a: Algebra, g4: ScalarForm):
     n = a.dim
     return tuple(g4.value(*idx) for idx in product(range(n), repeat=4))
-
-
-def _kernel_cols(cols):
-    return kernel_basis(Matrix.from_columns(cols)).basis
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +333,11 @@ class TwofoldExtension:
     gamma: ScalarForm
     qrep: QuadraticRepresentation
 
-    def _block(self, start: int, size: int) -> Subspace:
+    def dual_block(self) -> Subspace:
         total = self.metric.algebra.dim
         eye = Matrix.identity(total)
-        return Subspace.from_spanning(total, [eye.column(start + i) for i in range(size)])
-
-    def base_block(self) -> Subspace:
-        return self._block(0, self.base_dim)
-
-    def module_block(self) -> Subspace:
-        return self._block(self.base_dim, self.module_dim)
-
-    def dual_block(self) -> Subspace:
-        return self._block(self.base_dim + self.module_dim, self.base_dim)
+        start = self.base_dim + self.module_dim
+        return Subspace.from_spanning(total, [eye.column(start + i) for i in range(self.base_dim)])
 
 
 def build_twofold(
@@ -446,7 +443,7 @@ def _verify_twofold(result: TwofoldExtension):
             "twofold output failed metric verification:\n" + report.describe(),
             identity="output-metric",
         )
-    crit = metric_criterion(metric)
+    crit = metric_criterion(metric, report)
     if not crit.passed:
         raise PreconditionFailure(
             "twofold output failed the gamma criterion:\n" + crit.describe(),

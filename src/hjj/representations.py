@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import TYPE_CHECKING
 
-from .algebra import Algebra
+from .algebra import Algebra, _structure_tables
 from .errors import DegenerateForm, UnsupportedSystem
 from .linalg import Matrix, Vector, determinant, vec_add, vec_is_zero
 from .reports import CheckReport, Violation
@@ -56,9 +56,6 @@ class Representation:
             if xi != 0:
                 out = out + self.rho[i].scale(xi)
         return out
-
-    def act(self, x: Vector, v: Vector) -> Vector:
-        return self.rho_of(x).apply(v)
 
 
 @dataclass(frozen=True)
@@ -150,15 +147,23 @@ def coadjoint_condition(a: Algebra) -> CheckReport:
     """
     violations = []
     n = a.dim
-    alpha_cols = [a.alpha.column(i) for i in range(n)]
+    c, alpha_cols, alpha_br = _structure_tables(a)
     for i in range(n):
         for j in range(i, n):
             for t in range(n):
-                r = a.twist(a.bracket(a.bracket_basis(i, j), a.basis_vector(t)))
-                r = vec_add(r, a.bracket(a.basis_vector(j), a.bracket(alpha_cols[i], a.basis_vector(t))))
-                r = vec_add(r, a.bracket(a.basis_vector(i), a.bracket(alpha_cols[j], a.basis_vector(t))))
-                if not vec_is_zero(r):
-                    violations.append(Violation((i, j, t), r))
+                r = [ZERO] * n
+                for s, x in c[i][j]:
+                    for u, y in c[s][t]:
+                        for v, z in alpha_cols[u]:
+                            r[v] += x * y * z
+                for u, x in alpha_br[i][t]:
+                    for v, y in c[j][u]:
+                        r[v] += x * y
+                for u, x in alpha_br[j][t]:
+                    for v, y in c[i][u]:
+                        r[v] += x * y
+                if any(x != 0 for x in r):
+                    violations.append(Violation((i, j, t), tuple(r)))
     return CheckReport("coadjoint-condition", tuple(violations))
 
 

@@ -62,6 +62,21 @@ def rand_invertible(rng: random.Random, n: int) -> Matrix:
             return m
 
 
+def rand_structure(rng: random.Random, n: int) -> Algebra:
+    """Random symmetric structure constants (about 40% nonzero) and a twist
+    with a nonzero off-diagonal entry.  No axiom holds in general: this is
+    input for operator formulas that are defined on any symmetric product."""
+    brackets = {
+        (i, j): [rand_scalar(rng) if rng.random() < 0.4 else 0 for _ in range(n)]
+        for i in range(n)
+        for j in range(i, n)
+    }
+    while True:
+        alpha = rand_matrix(rng, n, n)
+        if n < 2 or any(alpha.entry(i, j) != 0 for i in range(n) for j in range(n) if i != j):
+            return Algebra.from_brackets(n, brackets, alpha)
+
+
 def conjugate_algebra(a: Algebra, p: Matrix) -> Algebra:
     """Transport the structure along the change of basis e'_i = p(e_i)."""
     pinv = invert(p)

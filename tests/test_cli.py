@@ -134,6 +134,31 @@ def test_metric_verify_fail(files, capsys):
     assert "invariance: FAIL" in out
 
 
+@pytest.mark.parametrize("twofold", [False, True])
+def test_metric_verify_checks_metric_once(files, capsys, tmp_path, monkeypatch, twofold):
+    import hjj.cli
+    import hjj.metric
+
+    path = files["bad_metric.json"]
+    if twofold:
+        path = str(tmp_path / "twofold.json")
+        inputs = ["--algebra", files["algebra.json"], "--qrep", files["qrep.json"]]
+        cocycle = ["--theta", files["zero2.json"], "--gamma", files["gamma.json"]]
+        assert run(capsys, "quadratic", "twofold", *inputs, *cocycle, "-o", path)[0] == 0
+    calls = []
+    check_metric = hjj.metric.check_metric
+
+    def counting(m):
+        calls.append(m)
+        return check_metric(m)
+
+    monkeypatch.setattr(hjj.metric, "check_metric", counting)
+    monkeypatch.setattr(hjj.cli, "check_metric", counting)
+    code, _, _ = run(capsys, "--json", "metric", "verify", path)
+    assert code == (0 if twofold else 1)
+    assert len(calls) == 1
+
+
 def test_quadratic_twofold_and_metric_verify(files, capsys, tmp_path):
     out_path = str(tmp_path / "twofold.json")
     code, out, _ = run(

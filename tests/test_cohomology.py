@@ -23,9 +23,18 @@ from hjj.cohomology import (
     in_c3r,
 )
 from hjj.errors import InvalidRepresentation, NotACochain
-from hjj.representations import Representation
+from hjj.quadratic import build_twofold
+from hjj.representations import QuadraticRepresentation, Representation
 
-from .gen import random_c2r_form, random_cochain1, random_pair
+from .gen import (
+    conjugate_algebra,
+    rand_invertible,
+    rand_scalar,
+    rand_structure,
+    random_c2r_form,
+    random_cochain1,
+    random_pair,
+)
 from .oracles import BruteAlgebra, brute_h2_dims
 
 
@@ -168,6 +177,54 @@ def test_dr3_term_expansion_oracle():
     # single matching term: g([e1,e1], alpha(e2), e2) = g(e2, 4 e2, e2) = 4
     assert expected == QQ(4)
     assert out.value(0, 0, 1, 1) == QQ(4)
+
+
+def _dr3_six_terms(a, g):
+    """Reference d_r^3: the six terms through ScalarForm.evaluate and
+    Algebra.bracket on dense coordinate vectors, at every index 4-tuple."""
+    n = a.dim
+    e = [a.basis_vector(i) for i in range(n)]
+    ac = [a.alpha.column(i) for i in range(n)]
+    entries = {}
+    for i, j, k, t in product(range(n), repeat=4):
+        entries[(i, j, k, t)] = (
+            g.evaluate(a.bracket(e[i], e[j]), ac[k], e[t])
+            + g.evaluate(a.bracket(e[i], e[k]), ac[j], e[t])
+            + g.evaluate(a.bracket(e[j], e[k]), ac[i], e[t])
+            + g.evaluate(e[i], e[j], a.bracket(ac[k], e[t]))
+            + g.evaluate(e[j], e[k], a.bracket(ac[i], e[t]))
+            + g.evaluate(e[i], e[k], a.bracket(ac[j], e[t]))
+        )
+    return ScalarForm.from_entries(n, 4, entries)
+
+
+def _twofold7(rng):
+    """A 7-dimensional twofold extension J + a + J* with a non-diagonal
+    twist: a conjugated 3-dimensional base and a 1-dimensional module."""
+    seed = Algebra.from_brackets(
+        3,
+        {(0, 0): (0, 1, 0), (0, 1): (0, 0, 1)},
+        Matrix.from_columns([(0, 1, 0), (0, 0, 0), (0, 0, 0)]),
+    )
+    base = conjugate_algebra(seed, rand_invertible(rng, 3))
+    rep = Representation.zero_action(base, 1, Matrix.identity(1))
+    qrep = QuadraticRepresentation(rep, Matrix.identity(1))
+    return build_twofold(base, qrep, Cochain2.zero(rep), ScalarForm.zero(3, 3)).metric.algebra
+
+
+def test_dr3_matches_six_term_expansion():
+    rng = random.Random(23)
+    algebras = [rand_structure(rng, n) for n in (2, 3, 4) for _ in range(2)]
+    algebras.append(_twofold7(rng))
+    assert algebras[-1].dim == 7
+    for a in algebras:
+        n = a.dim
+        entries = {
+            idx: rand_scalar(rng) for idx in product(range(n), repeat=3) if rng.random() < 0.4
+        }
+        g = ScalarForm.from_entries(n, 3, entries)
+        assert not g.is_symmetric12()
+        assert dr3(a, g) == _dr3_six_terms(a, g)
 
 
 def test_operators_vanish_on_abelian():

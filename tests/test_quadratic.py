@@ -17,12 +17,14 @@ from hjj.cohomology import (
     d2,
     dc2,
     dr3,
+    pairs,
     scalar2_from_vector,
 )
 from hjj.errors import PreconditionFailure
 from hjj.linalg import vec_add, vec_scale, zero_vector
 from hjj.metric import check_metric, gamma_form, is_isotropic, metric_criterion
 from hjj.quadratic import (
+    _gamma_matrix,
     QuadraticCochain1,
     QuadraticCochain2,
     build_twofold,
@@ -35,7 +37,7 @@ from hjj.quadratic import (
 )
 from hjj.representations import QuadraticRepresentation, Representation
 
-from .gen import rand_scalar, random_quadratic
+from .gen import rand_scalar, rand_structure, random_quadratic
 
 
 def dim1_setup(alpha=1, beta=1, b_a=1):
@@ -220,6 +222,66 @@ def test_wedge_differential_identity_randomized():
 
 
 # -- H2Q ---------------------------------------------------------------------
+
+
+def _gamma_condition_sweep(a):
+    """Reference columns of the gamma condition: d_r^3 on each sym12 unit
+    form, then gamma4(i, j, k, alpha(e_l)) over 4-tuples in product order."""
+    n = a.dim
+    cols = []
+    for (p, q), s in product(pairs(n), range(n)):
+        unit = ScalarForm.from_entries(n, 3, {(p, q, s): QQ(1), (q, p, s): QQ(1)})
+        g4 = dr3(a, unit)
+        cols.append(
+            tuple(
+                sum((a.alpha.entry(t, l) * g4.value(i, j, k, t) for t in range(n)), QQ(0))
+                for i, j, k, l in product(range(n), repeat=4)
+            )
+        )
+    return cols
+
+
+def test_gamma_matrix_matches_unit_form_sweep():
+    rng = random.Random(17)
+    algebras = [rand_structure(rng, n) for n in (1, 2, 3, 3)]
+    algebras += [random_quadratic(rng)[0] for _ in range(3)]
+    for a in algebras:
+        matrix = _gamma_matrix(a)
+        cols = _gamma_condition_sweep(a)
+        assert (matrix.rows, matrix.cols) == (a.dim**4, len(cols))
+        for c, col in enumerate(cols):
+            assert matrix.column(c) == col
+
+
+def test_build_twofold_checks_metric_once(monkeypatch):
+    import hjj.cohomology
+    import hjj.metric
+    import hjj.quadratic
+
+    counts = {"check_metric": 0, "dr3": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    check = counting("check_metric", hjj.metric.check_metric)
+    d = counting("dr3", hjj.cohomology.dr3)
+    for module in (hjj.metric, hjj.quadratic):
+        monkeypatch.setattr(module, "check_metric", check)
+    for module in (hjj.cohomology, hjj.metric, hjj.quadratic):
+        monkeypatch.setattr(module, "dr3", d, raising=False)
+    alg, qrep = j111_module()
+    tau = Cochain1(qrep.rep, Matrix.from_rows([[0, 1]]))
+    shifted = d1Q(QuadraticCochain1(tau, ScalarForm.zero(2, 2)), qrep)
+    # the benchmark's pair (theta = 0, gamma = 0), then a nonzero cocycle
+    for theta, gamma in ((Cochain2.zero(qrep.rep), ScalarForm.zero(2, 3)), (shifted.theta, shifted.gamma)):
+        counts.update(check_metric=0, dr3=0)
+        build_twofold(alg, qrep, theta, gamma)
+        assert counts["check_metric"] == 1
+        assert counts["dr3"] <= 1
 
 
 def test_h2q_theta_pinned_abelian():

@@ -7,6 +7,7 @@ from hjj.algebra import Algebra
 from hjj.catalog import instantiate
 from hjj.cohomology import Cochain2
 from hjj.errors import DegenerateForm, UnsupportedSystem
+from hjj.linalg import vec_add, vec_is_zero
 from hjj.representations import (
     QuadraticRepresentation,
     Representation,
@@ -19,7 +20,7 @@ from hjj.representations import (
     solve_representations_dim1,
 )
 
-from .gen import random_pair
+from .gen import rand_structure, random_pair
 
 
 def test_zero_action_always_valid():
@@ -118,6 +119,36 @@ def test_coadjoint_condition():
     assert report.violations[0].where == (0, 0, 0)
     # alpha([[e1,e1],e1]) + 2[e1,[e1,e1]] = e1 + 2 e1 = 3 e1
     assert report.violations[0].residual == (QQ(3), QQ(0))
+
+
+def _coadjoint_dense_loop(a):
+    """Reference: alpha([[x,y],t]) + [y,[alpha x,t]] + [x,[alpha y,t]] on
+    dense coordinate vectors, as (where, residual) for every nonzero one."""
+    n = a.dim
+    e = [a.basis_vector(i) for i in range(n)]
+    ac = [a.alpha.column(i) for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            for t in range(n):
+                r = a.twist(a.bracket(a.bracket(e[i], e[j]), e[t]))
+                r = vec_add(r, a.bracket(e[j], a.bracket(ac[i], e[t])))
+                r = vec_add(r, a.bracket(e[i], a.bracket(ac[j], e[t])))
+                if not vec_is_zero(r):
+                    out.append(((i, j, t), r))
+    return out
+
+
+def test_coadjoint_condition_matches_dense_loop():
+    rng = random.Random(41)
+    algebras = [rand_structure(rng, n) for n in (1, 2, 3, 4) for _ in range(3)]
+    algebras += [random_pair(rng)[0] for _ in range(4)]
+    failing = 0
+    for a in algebras:
+        got = [(v.where, v.residual) for v in coadjoint_condition(a).violations]
+        assert got == _coadjoint_dense_loop(a)
+        failing += bool(got)
+    assert failing >= 6
 
 
 def test_coadjoint_extended():
