@@ -616,7 +616,10 @@ def dr3(a: Algebra, g: ScalarForm) -> ScalarForm:
     r = range(n)
     c, alpha_cols, alpha_br = _structure_tables(a)
     gv = g.coeffs
-    ga = [[[sum((x * gv[s][u][t] for u, x in alpha_cols[k]), ZERO) for s in r] for t in r] for k in r]
+    ga = [
+        [[sum((x * gv[s][u][t] for u, x in alpha_cols[k]), ZERO) for s in r] for t in r]
+        for k in r
+    ]
 
     def value(i, j, k, t):
         terms = []
@@ -626,9 +629,10 @@ def dr3(a: Algebra, g: ScalarForm) -> ScalarForm:
             terms += [x * gv[p][q][u] for u, x in alpha_br[w][t] if gv[p][q][u]]
         return sum(terms, ZERO)
 
-    return ScalarForm(
-        n, 4, tuple(tuple(tuple(tuple(value(i, j, k, t) for t in r) for k in r) for j in r) for i in r)
+    coeffs = tuple(
+        tuple(tuple(tuple(value(i, j, k, t) for t in r) for k in r) for j in r) for i in r
     )
+    return ScalarForm(n, 4, coeffs)
 
 
 # ---------------------------------------------------------------------------

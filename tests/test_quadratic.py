@@ -277,7 +277,8 @@ def test_build_twofold_checks_metric_once(monkeypatch):
     tau = Cochain1(qrep.rep, Matrix.from_rows([[0, 1]]))
     shifted = d1Q(QuadraticCochain1(tau, ScalarForm.zero(2, 2)), qrep)
     # the benchmark's pair (theta = 0, gamma = 0), then a nonzero cocycle
-    for theta, gamma in ((Cochain2.zero(qrep.rep), ScalarForm.zero(2, 3)), (shifted.theta, shifted.gamma)):
+    zero = (Cochain2.zero(qrep.rep), ScalarForm.zero(2, 3))
+    for theta, gamma in (zero, (shifted.theta, shifted.gamma)):
         counts.update(check_metric=0, dr3=0)
         build_twofold(alg, qrep, theta, gamma)
         assert counts["check_metric"] == 1

@@ -148,7 +148,7 @@ def test_coadjoint_condition_matches_dense_loop():
         got = [(v.where, v.residual) for v in coadjoint_condition(a).violations]
         assert got == _coadjoint_dense_loop(a)
         failing += bool(got)
-    assert failing >= 6
+    assert 0 < failing < len(algebras)
 
 
 def test_coadjoint_extended():
