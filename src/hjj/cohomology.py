@@ -6,23 +6,32 @@ Coordinate conventions (fixed so matrices are reproducible bit for bit):
   p-th coordinate of f(e_j) (basis order crossed with V-basis order);
 * symmetric 2-cochains live in QQ^(npairs*m) over the lexicographic list of
   pairs (i, j), i <= j, index ``pair*m + p``;
+* V-valued 3-cochains symmetric in their first two slots live in
+  QQ^(npairs*n*m) with index ``(pair*n + k)*m + p`` holding the p-th
+  coordinate of f(e_i, e_j, e_k), pair = (i, j): the layout of the scalar
+  trilinear forms below, crossed with V;
+* scalar bilinear forms live in QQ^(n*n) with index ``i*n + j``;
 * scalar trilinear forms symmetric in their first two slots live in
   QQ^(npairs*n) with index ``pair*n + t``.
 
-Operators are evaluated on basis tuples with i <= j (<= k) only, which is
-sufficient by multilinearity and the stated symmetries; full tensors are
-reconstructed from those values.
+Each of d1, d2, dc2 and dr2 is one exact matrix on these coordinates, built
+by summing over the nonzero structure constants (``_structure_tables``) and
+the nonzero entries of rho and beta.  The public operators apply it to a
+cochain's coordinates; compute_H2 takes its kernel and image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+
 from .algebra import Algebra, _structure_tables
 from .errors import InvalidRepresentation, NotACochain
 from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    image_basis,
     kernel_basis,
     quotient_dim,
     vec,
@@ -39,12 +48,14 @@ def pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def triples(n: int) -> list:
-    return [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)]
-
-
 def pair_index(n: int) -> dict:
     return {p: idx for idx, p in enumerate(pairs(n))}
+
+
+def _pair_positions(n: int) -> dict:
+    """pair_index keyed by both orders (x, y) and (y, x) of each pair."""
+    pidx = pair_index(n)
+    return {(x, y): pidx[(min(x, y), max(x, y))] for x in range(n) for y in range(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -205,47 +216,24 @@ class Cochain2:
 
 @dataclass(frozen=True)
 class Cochain3:
-    """Trilinear map J^3 -> V; fully symmetric, or symmetric in the first
-    two slots only (the shape the operators of this package produce)."""
+    """Trilinear map J^3 -> V, symmetric in its first two slots (the shape
+    d2 and dc2 produce), on the coordinates ``(pair*n + k)*m + p``."""
 
     rep: Representation
-    coeffs: tuple  # coeffs[i][j][k] = vector in V
-    fully_symmetric: bool = True
+    coords: Vector
 
     def __post_init__(self):
-        n = self.rep.algebra.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.coeffs[i][j][k] != self.coeffs[j][i][k]:
-                        raise ValueError("3-cochain must be symmetric in its first two slots")
-                    if self.fully_symmetric and self.coeffs[i][j][k] != self.coeffs[i][k][j]:
-                        raise ValueError("3-cochain declared fully symmetric is not")
+        n, m = self.rep.algebra.dim, self.rep.vdim
+        if len(self.coords) != len(pairs(n)) * n * m:
+            raise ValueError("3-cochain coordinates must number npairs*n*m")
 
     def value(self, i: int, j: int, k: int) -> Vector:
-        return self.coeffs[i][j][k]
+        n, m = self.rep.algebra.dim, self.rep.vdim
+        start = (_pair_positions(n)[i, j] * n + k) * m
+        return self.coords[start:start + m]
 
     def is_zero(self) -> bool:
-        return all(
-            vec_is_zero(v) for plane in self.coeffs for row in plane for v in row
-        )
-
-    def to_vector_sym(self) -> Vector:
-        """Coordinates over triples i <= j <= k (valid when fully symmetric)."""
-        m = self.rep.vdim
-        return tuple(
-            self.coeffs[i][j][k][p]
-            for (i, j, k) in triples(self.rep.algebra.dim)
-            for p in range(m)
-        )
-
-
-def _grid3(rep: Representation, value_fn, fully_symmetric: bool) -> Cochain3:
-    n = rep.algebra.dim
-    coeffs = tuple(
-        tuple(tuple(value_fn(i, j, k) for k in range(n)) for j in range(n)) for i in range(n)
-    )
-    return Cochain3(rep, coeffs, fully_symmetric)
+        return vec_is_zero(self.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -498,54 +486,113 @@ def in_c3r(a: Algebra, f: ScalarForm) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _entries(m: Matrix) -> list:
+    """The nonzero entries (p, q, x) of a matrix."""
+    return [(p, q, x) for p, row in enumerate(m.entries) for q, x in enumerate(row) if x != 0]
+
+
+def _add_term(block: list, col: int, entries: list, w):
+    """Add w * M f(...) to the m rows in block, where M has the given
+    nonzero entries and f(...) starts at coordinate col."""
+    for p, q, x in entries:
+        block[p][col + q] += w * x
+
+
+def _d1_matrix(rep: Representation) -> Matrix:
+    """d1 from 1-cochain coordinates to 2-cochain coordinates."""
+    a, m = rep.algebra, rep.vdim
+    n = a.dim
+    c, _, _ = _structure_tables(a)
+    eye, rho = _entries(Matrix.identity(m)), [_entries(r) for r in rep.rho]
+    rows = [[ZERO] * (n * m) for _ in range(len(pairs(n)) * m)]
+    for pair, (i, j) in enumerate(pairs(n)):
+        block = rows[pair * m:(pair + 1) * m]
+        # f([e_i, e_j]) - rho(e_i) f(e_j) - rho(e_j) f(e_i)
+        for s, w in c[i][j]:
+            _add_term(block, s * m, eye, w)
+        _add_term(block, j * m, rho[i], QQ(-1))
+        _add_term(block, i * m, rho[j], QQ(-1))
+    return Matrix.from_rows(rows)
+
+
+def _d2_matrix(rep: Representation) -> Matrix:
+    """d2 from 2-cochain coordinates to 3-cochain coordinates."""
+    a, m = rep.algebra, rep.vdim
+    n = a.dim
+    c, alpha_cols, _ = _structure_tables(a)
+    pos = _pair_positions(n)
+    eye, rho = _entries(Matrix.identity(m)), [_entries(r) for r in rep.rho]
+    npairs = len(pairs(n))
+    rows = [[ZERO] * (npairs * m) for _ in range(npairs * n * m)]
+    for pair, (i, j) in enumerate(pairs(n)):
+        for k in range(n):
+            block = rows[(pair * n + k) * m:(pair * n + k + 1) * m]
+            for x, y, z in ((i, j, k), (j, i, k), (k, i, j)):
+                # f(alpha e_x, [e_y, e_z]) + rho(alpha e_x) f(e_y, e_z)
+                for u, au in alpha_cols[x]:
+                    for s, w in c[y][z]:
+                        _add_term(block, pos[u, s] * m, eye, au * w)
+                    _add_term(block, pos[y, z] * m, rho[u], au)
+    return Matrix.from_rows(rows)
+
+
+def _dc2_matrix(rep: Representation) -> Matrix:
+    """dc2 from 2-cochain coordinates to 3-cochain coordinates."""
+    a, m = rep.algebra, rep.vdim
+    n = a.dim
+    c, alpha_cols, alpha_br = _structure_tables(a)
+    pos = _pair_positions(n)
+    eye, rho = _entries(Matrix.identity(m)), [_entries(r) for r in rep.rho]
+    beta, beta_rho = _entries(rep.beta), [_entries(rep.beta @ r) for r in rep.rho]
+    npairs = len(pairs(n))
+    rows = [[ZERO] * (npairs * m) for _ in range(npairs * n * m)]
+    for pair, (i, j) in enumerate(pairs(n)):
+        for k in range(n):
+            block = rows[(pair * n + k) * m:(pair * n + k + 1) * m]
+            for x, y in ((i, j), (j, i)):
+                # f(e_x, [alpha e_y, e_k]) + rho(e_x) f(alpha e_y, e_k)
+                for u, w in alpha_br[y][k]:
+                    _add_term(block, pos[x, u] * m, eye, w)
+                for u, w in alpha_cols[y]:
+                    _add_term(block, pos[u, k] * m, rho[x], w)
+            # beta(f(e_k, [e_i, e_j])) + beta(rho(e_k) f(e_i, e_j))
+            for s, w in c[i][j]:
+                _add_term(block, pos[k, s] * m, beta, w)
+            _add_term(block, pair * m, beta_rho[k], QQ(1))
+    return Matrix.from_rows(rows)
+
+
+def _dr2_matrix(a: Algebra) -> Matrix:
+    """dr2 from bilinear-form coordinates to sym12 trilinear coordinates."""
+    n = a.dim
+    c, _, _ = _structure_tables(a)
+    rows = [[ZERO] * (n * n) for _ in range(len(pairs(n)) * n)]
+    for pair, (i, j) in enumerate(pairs(n)):
+        for t in range(n):
+            row = rows[pair * n + t]
+            # f([e_i, e_j], e_t) - f(e_j, [e_i, e_t]) - f(e_i, [e_j, e_t])
+            for s, w in c[i][j]:
+                row[s * n + t] += w
+            for x, y in ((i, j), (j, i)):
+                for u, w in c[x][t]:
+                    row[y * n + u] -= w
+    return Matrix.from_rows(rows)
+
+
 def d1(f: Cochain1) -> Cochain2:
     """d1 f(x, y) = f([x, y]) - rho(x) f(y) - rho(y) f(x)."""
     if not f.is_compatible():
         raise NotACochain("d1 argument violates f o alpha = beta o f")
-    rep = f.rep
-    a = rep.algebra
-
-    def entry(i, j):
-        v = f.value_vec(a.bracket_basis(i, j))
-        v = vec_add(v, vec_scale(QQ(-1), rep.rho[i].apply(f.value(j))))
-        v = vec_add(v, vec_scale(QQ(-1), rep.rho[j].apply(f.value(i))))
-        return v
-
-    return Cochain2.from_entries(rep, {(i, j): entry(i, j) for i, j in pairs(a.dim)})
+    return Cochain2.from_vector(f.rep, _d1_matrix(f.rep).apply(f.to_vector()))
 
 
 def d2(f: Cochain2) -> Cochain3:
     """d2 f(x,y,z) = f(alpha x, [y,z]) + f(alpha y, [x,z]) + f(alpha z, [x,y])
     + rho(alpha x) f(y,z) + rho(alpha y) f(x,z) + rho(alpha z) f(x,y);
-    evaluated on i <= j <= k, fully symmetric by construction."""
+    fully symmetric by construction."""
     if not f.is_compatible():
         raise NotACochain("d2 argument violates beta o f = f o alpha")
-    return _d2_any(f)
-
-
-def _d2_any(f: Cochain2) -> Cochain3:
-    rep = f.rep
-    a = rep.algebra
-    alpha_cols = [a.alpha.column(i) for i in range(a.dim)]
-
-    def value(i, j, k):
-        v = f.value_vec(alpha_cols[i], a.bracket_basis(j, k))
-        v = vec_add(v, f.value_vec(alpha_cols[j], a.bracket_basis(i, k)))
-        v = vec_add(v, f.value_vec(alpha_cols[k], a.bracket_basis(i, j)))
-        v = vec_add(v, rep.rho_of(alpha_cols[i]).apply(f.value(j, k)))
-        v = vec_add(v, rep.rho_of(alpha_cols[j]).apply(f.value(i, k)))
-        v = vec_add(v, rep.rho_of(alpha_cols[k]).apply(f.value(i, j)))
-        return v
-
-    cache = {}
-
-    def cached(i, j, k):
-        key = tuple(sorted((i, j, k)))
-        if key not in cache:
-            cache[key] = value(*key)
-        return cache[key]
-
-    return _grid3(rep, cached, fully_symmetric=True)
+    return Cochain3(f.rep, _d2_matrix(f.rep).apply(f.to_vector()))
 
 
 def dc2(f: Cochain2) -> Cochain3:
@@ -562,28 +609,7 @@ def dc2(f: Cochain2) -> Cochain3:
     rho-part match the extended coadjoint condition.  Output is symmetric in
     the first two slots only.
     """
-    rep = f.rep
-    a = rep.algebra
-    alpha_cols = [a.alpha.column(i) for i in range(a.dim)]
-
-    def value(i, j, k):
-        v = f.value_vec(a.basis_vector(i), a.bracket(alpha_cols[j], a.basis_vector(k)))
-        v = vec_add(v, f.value_vec(a.basis_vector(j), a.bracket(alpha_cols[i], a.basis_vector(k))))
-        v = vec_add(v, rep.beta.apply(f.value_vec(a.basis_vector(k), a.bracket_basis(i, j))))
-        v = vec_add(v, rep.rho[i].apply(f.value_vec(alpha_cols[j], a.basis_vector(k))))
-        v = vec_add(v, rep.rho[j].apply(f.value_vec(alpha_cols[i], a.basis_vector(k))))
-        v = vec_add(v, rep.beta.apply(rep.rho[k].apply(f.value(i, j))))
-        return v
-
-    cache = {}
-
-    def cached(i, j, k):
-        key = (min(i, j), max(i, j), k)
-        if key not in cache:
-            cache[key] = value(*key)
-        return cache[key]
-
-    return _grid3(rep, cached, fully_symmetric=False)
+    return Cochain3(f.rep, _dc2_matrix(f.rep).apply(f.to_vector()))
 
 
 def dr2(a: Algebra, f: ScalarForm) -> ScalarForm:
@@ -591,15 +617,11 @@ def dr2(a: Algebra, f: ScalarForm) -> ScalarForm:
     if f.degree != 2 or f.dim != a.dim:
         raise ValueError("dr2 expects a bilinear form on the algebra")
     n = a.dim
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            for t in range(n):
-                v = f.evaluate(a.bracket_basis(i, j), a.basis_vector(t))
-                v -= f.evaluate(a.basis_vector(j), a.bracket_basis(i, t))
-                v -= f.evaluate(a.basis_vector(i), a.bracket_basis(j, t))
-                entries[(i, j, t)] = v
-    return ScalarForm.from_entries(n, 3, entries)
+    v = _dr2_matrix(a).apply(scalar2_to_vector(f))
+    pos = _pair_positions(n)
+    return ScalarForm.from_entries(
+        n, 3, {(i, j, t): v[pos[i, j] * n + t] for i, j, t in product(range(n), repeat=3)}
+    )
 
 
 def dr3(a: Algebra, g: ScalarForm) -> ScalarForm:
@@ -665,37 +687,12 @@ def compute_H2(rep: Representation) -> H2Result:
     """
     if not check_representation(rep).passed:
         raise InvalidRepresentation("compute_H2 requires a valid representation")
-    n, m = rep.algebra.dim, rep.vdim
-    ambient = len(pairs(n)) * m
+    ambient = len(pairs(rep.algebra.dim)) * rep.vdim
     c2 = cochain2_space(rep)
-    # kernel of d2 restricted to c2
-    cols = []
-    for b in c2.basis:
-        image = d2(Cochain2.from_vector(rep, b))
-        cols.append(image.to_vector_sym())
-    if cols:
-        restricted = Matrix.from_columns(cols)
-        coeff_kernel = Subspace.from_spanning(
-            c2.dim, [k for k in _kernel_of(restricted)]
-        )
-        z2_vectors = []
-        for u in coeff_kernel.basis:
-            v = zero_vector(ambient)
-            for ci, b in zip(u, c2.basis):
-                if ci != 0:
-                    v = vec_add(v, vec_scale(ci, b))
-            z2_vectors.append(v)
-        z2 = Subspace.from_spanning(ambient, z2_vectors)
-    else:
-        z2 = Subspace.zero(ambient)
-    # image of d1 on the compatible 1-cochains
-    c1 = cochain1_space(rep)
-    b2_vectors = [d1(Cochain1.from_vector(rep, b)).to_vector() for b in c1.basis]
-    b2 = Subspace.from_spanning(ambient, b2_vectors)
+    c2_cols = c2.matrix().transpose()
+    z2_coeffs = kernel_basis(_d2_matrix(rep) @ c2_cols)
+    z2 = Subspace.from_spanning(ambient, [c2_cols.apply(u) for u in z2_coeffs.basis])
+    b2 = image_basis(_d1_matrix(rep) @ cochain1_space(rep).matrix().transpose())
     h2_dim, reps_vectors = quotient_dim(z2, b2)
     representatives = tuple(Cochain2.from_vector(rep, v) for v in reps_vectors)
     return H2Result(c2, z2, b2, h2_dim, representatives)
-
-
-def _kernel_of(m: Matrix):
-    return kernel_basis(m).basis

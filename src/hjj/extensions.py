@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra, LinearMapBetweenAlgebras
-from .cohomology import Cochain1, Cochain2, d1, d2, cochain1_space
+from .cohomology import Cochain1, Cochain2, _d1_matrix, cochain1_space, d1, d2
 from .errors import InvalidCocycle, InvalidRepresentation, NotACochain
-from .linalg import Matrix, Subspace, solve, vec_add, vec_scale, zero_vector
+from .linalg import Matrix, Subspace, solve, zero_vector
 from .representations import Representation, check_representation
 from .scalars import QQ, ZERO
 
@@ -61,11 +61,6 @@ class ExtensionAlgebra:
     algebra: Algebra
     base_dim: int
     fiber_dim: int
-
-    def base_block(self) -> Subspace:
-        n, m = self.base_dim, self.fiber_dim
-        eye = Matrix.identity(n + m)
-        return Subspace.from_spanning(n + m, [eye.column(i) for i in range(n)])
 
     def fiber_block(self) -> Subspace:
         n, m = self.base_dim, self.fiber_dim
@@ -162,17 +157,8 @@ def extensions_equivalent(spec_a: ExtensionSpec, spec_b: ExtensionSpec) -> Equiv
         raise ValueError("extensions_equivalent needs the same base and representation")
     rep = spec_a.rep
     difference = (spec_a.cocycle - spec_b.cocycle).to_vector()
-    c1 = cochain1_space(rep)
-    if c1.dim == 0:
-        if all(x == 0 for x in difference):
-            return EquivalenceResult(True, Cochain1.zero(rep))
-        return EquivalenceResult(False, None)
-    cols = [d1(Cochain1.from_vector(rep, b)).to_vector() for b in c1.basis]
-    solution = solve(Matrix.from_columns(cols), difference)
+    c1_cols = cochain1_space(rep).matrix().transpose()
+    solution = solve(_d1_matrix(rep) @ c1_cols, difference)
     if solution is None:
         return EquivalenceResult(False, None)
-    v = zero_vector(rep.vdim * rep.algebra.dim)
-    for coeff, b in zip(solution, c1.basis):
-        if coeff != 0:
-            v = vec_add(v, vec_scale(coeff, b))
-    return EquivalenceResult(True, Cochain1.from_vector(rep, v))
+    return EquivalenceResult(True, Cochain1.from_vector(rep, c1_cols.apply(solution)))

@@ -49,9 +49,20 @@ def vec_is_zero(v: Vector) -> bool:
 
 
 def vec_dot(u: Vector, v: Vector):
+    """Sum of u_i v_i over the indices where both factors are nonzero."""
     total = ZERO
     for a, b in zip(u, v):
-        total += a * b
+        if a and b:
+            total += a * b
+    return total
+
+
+def bilinear(form: Matrix, v: Vector, w: Vector):
+    """v^T form w, summed over nonzero factors only."""
+    total = ZERO
+    for vi, row in zip(v, form.entries):
+        if vi:
+            total += vi * vec_dot(row, w)
     return total
 
 

@@ -16,10 +16,9 @@ from typing import Optional
 from .algebra import Algebra, SubspaceOfAlgebra, check_hom_jacobi, center, derived_series
 from .cohomology import ScalarForm, dr3
 from .errors import DegenerateForm
-from .linalg import Matrix, Subspace, determinant, kernel_basis
+from .linalg import Matrix, Subspace, bilinear, determinant, kernel_basis
 from .reports import CheckReport, Violation
 from .representations import coadjoint_condition
-from .scalars import ZERO
 
 
 @dataclass(frozen=True)
@@ -39,14 +38,7 @@ class MetricAlgebra:
             raise DegenerateForm("metric form is degenerate")
 
     def pair(self, x, y):
-        total = ZERO
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj != 0:
-                    total += xi * self.form.entry(i, j) * yj
-        return total
+        return bilinear(self.form, x, y)
 
 
 @dataclass(frozen=True)

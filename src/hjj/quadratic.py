@@ -31,6 +31,7 @@ from .cohomology import (
     Cochain2,
     Cochain3,
     ScalarForm,
+    _dr2_matrix,
     c2r_space,
     compute_H2,
     d1,
@@ -39,11 +40,10 @@ from .cohomology import (
     dr2,
     pair_index,
     pairs,
-    scalar2_from_vector,
     scalar3_sym12_to_vector,
 )
 from .errors import ContainmentViolation, PreconditionFailure
-from .linalg import Matrix, Subspace, kernel_basis, solve, zero_vector
+from .linalg import Matrix, Subspace, bilinear, image_basis, kernel_basis, zero_vector
 from .metric import MetricAlgebra, check_metric, is_isotropic, metric_criterion
 from .representations import (
     QuadraticRepresentation,
@@ -87,12 +87,11 @@ class QuadraticCochain1:
 def wedge(f: Cochain2, g: Cochain2, form: Matrix) -> ScalarForm:
     """B_a(f ^ g): the six (2,2)-shuffle pairings of the values of f and g."""
     n = f.rep.algebra.dim
-    qpair = _pairing(form)
     entries = {}
     for idx in product(range(n), repeat=4):
         total = ZERO
         for sh in _SH22:
-            total += qpair(f.value(idx[sh[0]], idx[sh[1]]), g.value(idx[sh[2]], idx[sh[3]]))
+            total += bilinear(form, f.value(idx[sh[0]], idx[sh[1]]), g.value(idx[sh[2]], idx[sh[3]]))
         entries[idx] = total
     return ScalarForm.from_entries(n, 4, entries)
 
@@ -100,28 +99,13 @@ def wedge(f: Cochain2, g: Cochain2, form: Matrix) -> ScalarForm:
 def wedge12(tau: Cochain1, h: Cochain2, form: Matrix) -> ScalarForm:
     """B_a(tau ^ h): the three (1,2)-shuffle pairings (fully symmetric)."""
     n = tau.rep.algebra.dim
-    qpair = _pairing(form)
     entries = {}
     for idx in product(range(n), repeat=3):
         total = ZERO
         for sh in _SH12:
-            total += qpair(tau.value(idx[sh[0]]), h.value(idx[sh[1]], idx[sh[2]]))
+            total += bilinear(form, tau.value(idx[sh[0]]), h.value(idx[sh[1]], idx[sh[2]]))
         entries[idx] = total
     return ScalarForm.from_entries(n, 3, entries)
-
-
-def _pairing(form: Matrix):
-    def qpair(v, w):
-        total = ZERO
-        for i, vi in enumerate(v):
-            if vi == 0:
-                continue
-            for j, wj in enumerate(w):
-                if wj != 0:
-                    total += vi * form.entry(i, j) * wj
-        return total
-
-    return qpair
 
 
 def d2Q(c: QuadraticCochain2, qrep: QuadraticRepresentation) -> tuple[Cochain3, ScalarForm]:
@@ -229,13 +213,7 @@ def compute_H2Q(a: Algebra, qrep: QuadraticRepresentation) -> H2QResult:
     # linear gamma-condition: dr3(gamma)(. , . , . , alpha .) = 0
     gamma_matrix = _gamma_matrix(a)
     gamma_kernel = kernel_basis(gamma_matrix)
-    # image of dr2 on C2_r
-    c2r = c2r_space(a)
-    im_vectors = []
-    for b in c2r.basis:
-        sig = scalar2_from_vector(n, b)
-        im_vectors.append(scalar3_sym12_to_vector(dr2(a, sig)))
-    gamma_image = Subspace.from_spanning(ambient, im_vectors)
+    gamma_image = image_basis(_dr2_matrix(a) @ c2r_space(a).matrix().transpose())
     if not gamma_kernel.contains_subspace(gamma_image):
         raise ContainmentViolation("dr2(C2_r) is not inside the gamma-cocycle kernel")
 
@@ -258,18 +236,18 @@ def compute_H2Q(a: Algebra, qrep: QuadraticRepresentation) -> H2QResult:
         h2q_dim = (h2.z2.dim - h2.b2.dim) + (gamma_kernel.dim - gamma_image.dim)
         return H2QResult("linear", theta_dims, gamma_dims, h2q_dim, tuple(z_basis))
 
-    # quadratic obstruction present: solve the affine gamma-equation per theta
+    # quadratic obstruction present: is the affine gamma-equation over each
+    # theta solvable, i.e. is its target in the column space of the condition?
+    gamma_columns = image_basis(gamma_matrix)
     fibers = [FiberInfo(Cochain2.zero(rep), True, gamma_kernel.dim)]
     all_obstructed = True
     for t in z_basis:
         rhs = wedge(t, t.twist_arguments(), qrep.form).scale(QQ(-1, 2))
-        target = _contract_identity_slot(a, rhs)
-        solution = solve(gamma_matrix, target) if ambient else None
-        if solution is None and any(x != 0 for x in target):
-            fibers.append(FiberInfo(t, False, None))
-        else:
+        if gamma_columns.contains(_contract_identity_slot(a, rhs)):
             all_obstructed = False
             fibers.append(FiberInfo(t, True, gamma_kernel.dim))
+        else:
+            fibers.append(FiberInfo(t, False, None))
     if all_obstructed and h2.z2.dim == 1:
         # the single theta-direction is killed over QQ: only theta = 0 remains
         h2q_dim = gamma_kernel.dim - gamma_image.dim

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import Algebra, _structure_tables
 from .errors import DegenerateForm, UnsupportedSystem
-from .linalg import Matrix, Vector, determinant, vec_add, vec_is_zero
+from .linalg import Matrix, Vector, bilinear, determinant, vec_add, vec_is_zero
 from .reports import CheckReport, Violation
 from .scalars import QQ, ZERO
 
@@ -75,14 +75,7 @@ class QuadraticRepresentation:
             raise DegenerateForm("quadratic representation form is degenerate")
 
     def pair(self, v: Vector, w: Vector):
-        total = ZERO
-        for i, vi in enumerate(v):
-            if vi == 0:
-                continue
-            for j, wj in enumerate(w):
-                if wj != 0:
-                    total += vi * self.form.entry(i, j) * wj
-        return total
+        return bilinear(self.form, v, w)
 
 
 def check_representation(r: Representation) -> CheckReport:
@@ -196,11 +189,10 @@ def coadjoint_conditions_extended(a: Algebra, r: Representation, theta: "Cochain
 
 @dataclass(frozen=True)
 class Dim1Solutions:
-    """The one-dimensional representations found, plus a completeness flag:
-    True when triangular elimination provably exhausted the solution set."""
+    """The one-dimensional representations found; triangular elimination
+    exhausts the solution set or the solver raises UnsupportedSystem."""
 
     representations: tuple
-    complete: bool
 
 
 def solve_representations_dim1(a: Algebra, beta_scalar) -> Dim1Solutions:
@@ -250,7 +242,7 @@ def solve_representations_dim1(a: Algebra, beta_scalar) -> Dim1Solutions:
         Representation(a, 1, tuple(Matrix.from_rows([[x]]) for x in sol), Matrix.from_rows([[b]]))
         for sol in solutions
     )
-    return Dim1Solutions(reps, complete=True)
+    return Dim1Solutions(reps)
 
 
 # -- tiny polynomial helpers (monomials of degree <= 2, sorted index tuples) --

@@ -132,7 +132,6 @@ def test_criterion_2_lemma_diagonal():
     for a in (QQ(2), QQ(3), QQ(1, 2)):
         alg = instantiate("J^1_{1,1}", {"a": a})
         solved = solve_representations_dim1(alg, a * a)
-        assert solved.complete
         assert len(solved.representations) == 1
         assert all(m.is_zero() for m in solved.representations[0].rho)
         result = compute_H2(solved.representations[0])

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -10,6 +11,10 @@ from hjj.cohomology import (
     Cochain1,
     Cochain2,
     ScalarForm,
+    _d1_matrix,
+    _d2_matrix,
+    _dc2_matrix,
+    _dr2_matrix,
     c3r_space,
     cochain1_space,
     cochain2_space,
@@ -21,14 +26,17 @@ from hjj.cohomology import (
     dr3,
     in_c2r,
     in_c3r,
+    pairs,
 )
 from hjj.errors import InvalidRepresentation, NotACochain
+from hjj.linalg import vec_add, vec_sub
 from hjj.quadratic import build_twofold
 from hjj.representations import QuadraticRepresentation, Representation
 
 from .gen import (
     conjugate_algebra,
     rand_invertible,
+    rand_matrix,
     rand_scalar,
     rand_structure,
     random_c2r_form,
@@ -225,6 +233,64 @@ def test_dr3_matches_six_term_expansion():
         g = ScalarForm.from_entries(n, 3, entries)
         assert not g.is_symmetric12()
         assert dr3(a, g) == _dr3_six_terms(a, g)
+
+
+def _unit(size, idx):
+    return tuple(QQ(1) if x == idx else QQ(0) for x in range(size))
+
+
+def test_operator_matrices_match_defining_formulas():
+    """Every column of the d1, d2, dc2 and dr2 matrices against the defining
+    formula, evaluated with Algebra.bracket and dense loops on unit cochains
+    and forms, for random algebras and random (not necessarily valid) rho and
+    beta."""
+    rng = random.Random(43)
+    for n, m in ((1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3)):
+        a = rand_structure(rng, n)
+        rep = Representation(
+            a, m, tuple(rand_matrix(rng, m, m) for _ in range(n)), rand_matrix(rng, m, m)
+        )
+        br, rho, beta = a.bracket, rep.rho_of, rep.beta.apply
+        e = [a.basis_vector(i) for i in range(n)]
+        ac = [a.alpha.column(i) for i in range(n)]
+        triples = [(e[i], e[j], e[k], ac[i], ac[j], ac[k]) for (i, j), k in product(pairs(n), range(n))]
+
+        d1m = _d1_matrix(rep)
+        assert d1m.cols == n * m
+        for col in range(d1m.cols):
+            f = Cochain1.from_vector(rep, _unit(n * m, col))
+            expected = ()
+            for i, j in pairs(n):
+                v = vec_sub(f.value_vec(br(e[i], e[j])), rho(e[i]).apply(f.value(j)))
+                expected += vec_sub(v, rho(e[j]).apply(f.value(i)))
+            assert d1m.column(col) == expected
+
+        d2m, dc2m = _d2_matrix(rep), _dc2_matrix(rep)
+        assert d2m.cols == dc2m.cols == len(pairs(n)) * m
+        for col in range(d2m.cols):
+            fv = Cochain2.from_vector(rep, _unit(d2m.cols, col)).value_vec
+            d2_expected, dc2_expected = (), ()
+            for x, y, z, ax, ay, az in triples:
+                d2_expected += reduce(vec_add, (
+                    fv(ax, br(y, z)), fv(ay, br(x, z)), fv(az, br(x, y)),
+                    rho(ax).apply(fv(y, z)), rho(ay).apply(fv(x, z)), rho(az).apply(fv(x, y)),
+                ))
+                dc2_expected += reduce(vec_add, (
+                    fv(x, br(ay, z)), fv(y, br(ax, z)), beta(fv(z, br(x, y))),
+                    rho(x).apply(fv(ay, z)), rho(y).apply(fv(ax, z)), beta(rho(z).apply(fv(x, y))),
+                ))
+            assert d2m.column(col) == d2_expected
+            assert dc2m.column(col) == dc2_expected
+
+        dr2m = _dr2_matrix(a)
+        assert dr2m.cols == n * n
+        for col in range(dr2m.cols):
+            f = ScalarForm.from_entries(n, 2, {divmod(col, n): QQ(1)})
+            expected = tuple(
+                f.evaluate(br(x, y), z) - f.evaluate(y, br(x, z)) - f.evaluate(x, br(y, z))
+                for x, y, z, _, _, _ in triples
+            )
+            assert dr2m.column(col) == expected
 
 
 def test_operators_vanish_on_abelian():

@@ -90,7 +90,9 @@ def test_build_extension_rejects_invalid_cocycle():
     theta = Cochain2.from_entries(rep, {(0, 1): [QQ(1)]})
     with pytest.raises(InvalidCocycle) as err:
         build_extension(ExtensionSpec(alg, rep, theta))
-    assert err.value.triple is not None
+    # the first failing triple in i <= j <= k order: 3 f(e1, [e1, e1]) = 3
+    assert err.value.triple == (0, 0, 0)
+    assert err.value.residual == (QQ(3),)
 
 
 def test_equivalence_map_examples():
