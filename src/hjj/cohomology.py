@@ -5,14 +5,16 @@ Coordinate conventions (fixed so matrices are reproducible bit for bit):
 * 1-cochains f: J -> V live in QQ^(m*n) with index ``j*m + p`` holding the
   p-th coordinate of f(e_j) (basis order crossed with V-basis order);
 * symmetric 2-cochains live in QQ^(npairs*m) over the lexicographic list of
-  pairs (i, j), i <= j, index ``pair*m + p``;
+  pairs (i, j), i <= j, index ``pair*m + p``: ``Cochain2.coords``;
 * V-valued 3-cochains symmetric in their first two slots live in
   QQ^(npairs*n*m) with index ``(pair*n + k)*m + p`` holding the p-th
-  coordinate of f(e_i, e_j, e_k), pair = (i, j): the layout of the scalar
-  trilinear forms below, crossed with V;
-* scalar bilinear forms live in QQ^(n*n) with index ``i*n + j``;
-* scalar trilinear forms symmetric in their first two slots live in
-  QQ^(npairs*n) with index ``pair*n + t``.
+  coordinate of f(e_i, e_j, e_k), pair = (i, j): the sym12 layout below,
+  crossed with V;
+* a scalar form of degree d (``ScalarForm.coords``) lives in QQ^(n^d) in
+  product order: index ``i*n + j`` for bilinear forms, ``(i*n + j)*n + k``
+  for trilinear ones, and so on;
+* scalar trilinear forms symmetric in their first two slots also live in
+  QQ^(npairs*n) with index ``pair*n + t`` (the sym12 coordinates).
 
 Each of d1, d2, dc2 and dr2 is one exact matrix on these coordinates, built
 by summing over the nonzero structure constants (``_structure_tables``) and
@@ -23,7 +25,7 @@ cochain's coordinates; compute_H2 takes its kernel and image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 from .algebra import Algebra, _structure_tables
 from .errors import InvalidRepresentation, NotACochain
@@ -38,6 +40,7 @@ from .linalg import (
     vec_add,
     vec_is_zero,
     vec_scale,
+    vec_sub,
     zero_vector,
 )
 from .representations import Representation, check_representation
@@ -101,117 +104,89 @@ class Cochain1:
 
 @dataclass(frozen=True)
 class Cochain2:
-    """Symmetric bilinear map J x J -> V stored as a full coefficient grid."""
+    """Symmetric bilinear map J x J -> V on the coordinates ``pair*m + p``."""
 
     rep: Representation
-    coeffs: tuple  # coeffs[i][j] = vector in V, symmetric
+    coords: Vector
 
     def __post_init__(self):
         n, m = self.rep.algebra.dim, self.rep.vdim
-        if len(self.coeffs) != n or any(len(row) != n for row in self.coeffs):
-            raise ValueError("2-cochain grid must be n x n")
-        for i in range(n):
-            for j in range(n):
-                if len(self.coeffs[i][j]) != m:
-                    raise ValueError("2-cochain values must live in V")
-                if self.coeffs[i][j] != self.coeffs[j][i]:
-                    raise ValueError(f"2-cochain not symmetric at ({i}, {j})")
+        if len(self.coords) != len(pairs(n)) * m:
+            raise ValueError("2-cochain coordinates must number npairs*m")
 
     @staticmethod
     def zero(rep: Representation) -> "Cochain2":
-        n, m = rep.algebra.dim, rep.vdim
-        row = tuple(zero_vector(m) for _ in range(n))
-        return Cochain2(rep, tuple(row for _ in range(n)))
+        return Cochain2(rep, zero_vector(len(pairs(rep.algebra.dim)) * rep.vdim))
 
     @staticmethod
     def from_entries(rep: Representation, entries: dict) -> "Cochain2":
-        """Build from a sparse {(i, j): V-coordinate list} table, i <= j."""
-        n, m = rep.algebra.dim, rep.vdim
-        grid = [[list(zero_vector(m)) for _ in range(n)] for _ in range(n)]
+        """Build from a sparse {(i, j): V-coordinate list} table."""
+        m = rep.vdim
+        pos = _pair_positions(rep.algebra.dim)
+        coords = list(zero_vector(len(pairs(rep.algebra.dim)) * m))
         for (i, j), value in entries.items():
             v = vec(value)
-            grid[i][j] = list(v)
-            grid[j][i] = list(v)
-        return Cochain2(rep, tuple(tuple(tuple(grid[i][j]) for j in range(n)) for i in range(n)))
+            if len(v) != m:
+                raise ValueError("2-cochain values must live in V")
+            coords[pos[i, j] * m:(pos[i, j] + 1) * m] = v
+        return Cochain2(rep, tuple(coords))
 
     @staticmethod
     def from_vector(rep: Representation, v: Vector) -> "Cochain2":
-        n, m = rep.algebra.dim, rep.vdim
-        entries = {}
-        for idx, (i, j) in enumerate(pairs(n)):
-            entries[(i, j)] = tuple(v[idx * m + p] for p in range(m))
-        return Cochain2.from_entries(rep, entries)
+        return Cochain2(rep, vec(v))
 
     def to_vector(self) -> Vector:
-        m = self.rep.vdim
-        return tuple(
-            self.coeffs[i][j][p] for (i, j) in pairs(self.rep.algebra.dim) for p in range(m)
-        )
+        return self.coords
 
     def value(self, i: int, j: int) -> Vector:
-        return self.coeffs[i][j]
+        m = self.rep.vdim
+        start = _pair_positions(self.rep.algebra.dim)[i, j] * m
+        return self.coords[start:start + m]
 
     def value_vec(self, x: Vector, y: Vector) -> Vector:
-        out = list(zero_vector(self.rep.vdim))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                f = xi * yj
-                cij = self.coeffs[i][j]
-                for p in range(self.rep.vdim):
-                    if cij[p] != 0:
-                        out[p] += f * cij[p]
+        m = self.rep.vdim
+        out = list(zero_vector(m))
+        for (i, j), pair in _pair_positions(self.rep.algebra.dim).items():
+            if x[i] and y[j]:
+                f = x[i] * y[j]
+                for p in range(m):
+                    out[p] += f * self.coords[pair * m + p]
         return tuple(out)
 
     def is_compatible(self) -> bool:
         """beta o f = f o (alpha x alpha)."""
-        a = self.rep.algebra
-        alpha_cols = [a.alpha.column(i) for i in range(a.dim)]
-        for i, j in pairs(a.dim):
-            lhs = self.rep.beta.apply(self.coeffs[i][j])
-            rhs = self.value_vec(alpha_cols[i], alpha_cols[j])
-            if lhs != rhs:
-                return False
-        return True
+        n, m = self.rep.algebra.dim, self.rep.vdim
+        twisted = self.twist_arguments().coords
+        blocks = [slice(pair * m, (pair + 1) * m) for pair in range(len(pairs(n)))]
+        return all(self.rep.beta.apply(self.coords[b]) == twisted[b] for b in blocks)
 
     def twist_arguments(self) -> "Cochain2":
-        """f o alpha: (x, y) |-> f(alpha x, alpha y)."""
-        a = self.rep.algebra
-        alpha_cols = [a.alpha.column(i) for i in range(a.dim)]
-        return Cochain2.from_entries(
-            self.rep,
-            {(i, j): self.value_vec(alpha_cols[i], alpha_cols[j]) for i, j in pairs(a.dim)},
-        )
+        """f o alpha: (x, y) |-> f(alpha x, alpha y), summed over the nonzero
+        entries of alpha."""
+        a, m = self.rep.algebra, self.rep.vdim
+        pos = _pair_positions(a.dim)
+        alpha_cols = [[(u, x) for u, x in enumerate(a.alpha.column(i)) if x] for i in range(a.dim)]
+        out = list(zero_vector(len(self.coords)))
+        for pair, (i, j) in enumerate(pairs(a.dim)):
+            for u, x in alpha_cols[i]:
+                for v, y in alpha_cols[j]:
+                    src, w = pos[u, v] * m, x * y
+                    for p, c in enumerate(self.coords[src:src + m]):
+                        if c:
+                            out[pair * m + p] += w * c
+        return Cochain2(self.rep, tuple(out))
 
     def __add__(self, other: "Cochain2") -> "Cochain2":
-        n = self.rep.algebra.dim
-        return Cochain2.from_entries(
-            self.rep,
-            {(i, j): vec_add(self.coeffs[i][j], other.coeffs[i][j]) for i, j in pairs(n)},
-        )
+        return Cochain2(self.rep, vec_add(self.coords, other.coords))
 
     def __sub__(self, other: "Cochain2") -> "Cochain2":
-        n = self.rep.algebra.dim
-        return Cochain2.from_entries(
-            self.rep,
-            {
-                (i, j): vec_add(self.coeffs[i][j], vec_scale(QQ(-1), other.coeffs[i][j]))
-                for i, j in pairs(n)
-            },
-        )
+        return Cochain2(self.rep, vec_sub(self.coords, other.coords))
 
     def scale(self, c) -> "Cochain2":
-        n = self.rep.algebra.dim
-        return Cochain2.from_entries(
-            self.rep, {(i, j): vec_scale(c, self.coeffs[i][j]) for i, j in pairs(n)}
-        )
+        return Cochain2(self.rep, vec_scale(c, self.coords))
 
     def is_zero(self) -> bool:
-        n = self.rep.algebra.dim
-        return all(vec_is_zero(self.coeffs[i][j]) for i, j in pairs(n))
+        return vec_is_zero(self.coords)
 
 
 @dataclass(frozen=True)
@@ -241,56 +216,51 @@ class Cochain3:
 # ---------------------------------------------------------------------------
 
 
+def _flat(n: int, idx) -> int:
+    """Product-order position of an index tuple: (i*n + j)*n + k, ..."""
+    pos = 0
+    for i in idx:
+        pos = pos * n + i
+    return pos
+
+
 @dataclass(frozen=True)
 class ScalarForm:
-    """Multilinear form J^degree -> QQ stored as a full tensor."""
+    """Multilinear form J^degree -> QQ on the product-order coordinates."""
 
     dim: int
     degree: int
-    coeffs: tuple  # nested tuples, depth = degree
+    coords: Vector
+
+    def __post_init__(self):
+        if len(self.coords) != self.dim ** self.degree:
+            raise ValueError("scalar form coordinates must number dim**degree")
 
     @staticmethod
     def zero(dim: int, degree: int) -> "ScalarForm":
-        def build(d):
-            if d == 0:
-                return ZERO
-            return tuple(build(d - 1) for _ in range(dim))
-
-        return ScalarForm(dim, degree, build(degree))
+        return ScalarForm(dim, degree, zero_vector(dim ** degree))
 
     @staticmethod
     def from_entries(dim: int, degree: int, entries: dict, symmetrize: bool = False) -> "ScalarForm":
         """Build from {index tuple: scalar}; with symmetrize=True the value is
         copied to every permutation of the index tuple."""
-        from itertools import permutations
-
-        data = {}
+        coords = list(zero_vector(dim ** degree))
         for idx, value in entries.items():
             value = QQ(value) if isinstance(value, (int, str)) else value
-            targets = set(permutations(idx)) if symmetrize else {tuple(idx)}
-            for t in targets:
-                data[t] = value
-
-        def build(prefix):
-            if len(prefix) == degree:
-                return data.get(prefix, ZERO)
-            return tuple(build(prefix + (i,)) for i in range(dim))
-
-        return ScalarForm(dim, degree, build(()))
+            for t in set(permutations(idx)) if symmetrize else {tuple(idx)}:
+                coords[_flat(dim, t)] = value
+        return ScalarForm(dim, degree, tuple(coords))
 
     def value(self, *indices):
-        node = self.coeffs
-        for i in indices:
-            node = node[i]
-        return node
+        if len(indices) != self.degree:
+            raise ValueError("a scalar form value takes one index per slot")
+        return self.coords[_flat(self.dim, indices)]
 
     def evaluate(self, *vectors):
         """Multilinear evaluation on coordinate vectors."""
         if len(vectors) != self.degree:
             raise ValueError("wrong number of arguments")
         total = ZERO
-        from itertools import product
-
         ranges = [
             [i for i, x in enumerate(v) if x != 0] for v in vectors
         ]
@@ -305,16 +275,9 @@ class ScalarForm:
         return total
 
     def is_zero(self) -> bool:
-        def walk(node, d):
-            if d == 0:
-                return node == 0
-            return all(walk(child, d - 1) for child in node)
-
-        return walk(self.coeffs, self.degree)
+        return vec_is_zero(self.coords)
 
     def is_fully_symmetric(self) -> bool:
-        from itertools import combinations_with_replacement, permutations
-
         for idx in combinations_with_replacement(range(self.dim), self.degree):
             base = self.value(*idx)
             for perm in permutations(idx):
@@ -325,41 +288,23 @@ class ScalarForm:
     def is_symmetric12(self) -> bool:
         if self.degree < 2:
             return True
-        from itertools import product
-
-        for idx in product(range(self.dim), repeat=self.degree):
-            swapped = (idx[1], idx[0]) + idx[2:]
-            if self.value(*idx) != self.value(*swapped):
-                return False
-        return True
+        return all(
+            x == self.value(idx[1], idx[0], *idx[2:])
+            for x, idx in zip(self.coords, product(range(self.dim), repeat=self.degree))
+        )
 
     def __add__(self, other: "ScalarForm") -> "ScalarForm":
-        def walk(a, b, d):
-            if d == 0:
-                return a + b
-            return tuple(walk(x, y, d - 1) for x, y in zip(a, b))
-
-        return ScalarForm(self.dim, self.degree, walk(self.coeffs, other.coeffs, self.degree))
+        return ScalarForm(self.dim, self.degree, vec_add(self.coords, other.coords))
 
     def __sub__(self, other: "ScalarForm") -> "ScalarForm":
-        return self + other.scale(QQ(-1))
+        return ScalarForm(self.dim, self.degree, vec_sub(self.coords, other.coords))
 
     def scale(self, c) -> "ScalarForm":
-        def walk(a, d):
-            if d == 0:
-                return c * a
-            return tuple(walk(x, d - 1) for x in a)
-
-        return ScalarForm(self.dim, self.degree, walk(self.coeffs, self.degree))
-
-
-def scalar2_to_vector(f: ScalarForm) -> Vector:
-    n = f.dim
-    return tuple(f.value(i, j) for i in range(n) for j in range(n))
+        return ScalarForm(self.dim, self.degree, vec_scale(c, self.coords))
 
 
 def scalar2_from_vector(n: int, v: Vector) -> ScalarForm:
-    return ScalarForm(n, 2, tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)))
+    return ScalarForm(n, 2, tuple(v))
 
 
 def scalar3_sym12_to_vector(f: ScalarForm) -> Vector:
@@ -474,7 +419,7 @@ def c3r_space(a: Algebra) -> Subspace:
 
 
 def in_c2r(a: Algebra, f: ScalarForm) -> bool:
-    return c2r_space(a).contains(scalar2_to_vector(f))
+    return c2r_space(a).contains(f.coords)
 
 
 def in_c3r(a: Algebra, f: ScalarForm) -> bool:
@@ -617,11 +562,9 @@ def dr2(a: Algebra, f: ScalarForm) -> ScalarForm:
     if f.degree != 2 or f.dim != a.dim:
         raise ValueError("dr2 expects a bilinear form on the algebra")
     n = a.dim
-    v = _dr2_matrix(a).apply(scalar2_to_vector(f))
+    v = _dr2_matrix(a).apply(f.coords)
     pos = _pair_positions(n)
-    return ScalarForm.from_entries(
-        n, 3, {(i, j, t): v[pos[i, j] * n + t] for i, j, t in product(range(n), repeat=3)}
-    )
+    return ScalarForm(n, 3, tuple(v[pos[i, j] * n + t] for i, j, t in product(range(n), repeat=3)))
 
 
 def dr3(a: Algebra, g: ScalarForm) -> ScalarForm:
@@ -637,9 +580,9 @@ def dr3(a: Algebra, g: ScalarForm) -> ScalarForm:
     n = a.dim
     r = range(n)
     c, alpha_cols, alpha_br = _structure_tables(a)
-    gv = g.coeffs
+    gv = g.coords
     ga = [
-        [[sum((x * gv[s][u][t] for u, x in alpha_cols[k]), ZERO) for s in r] for t in r]
+        [[sum((x * gv[(s * n + u) * n + t] for u, x in alpha_cols[k]), ZERO) for s in r] for t in r]
         for k in r
     ]
 
@@ -647,14 +590,12 @@ def dr3(a: Algebra, g: ScalarForm) -> ScalarForm:
         terms = []
         for p, q, w in ((i, j, k), (i, k, j), (j, k, i)):
             # g([e_p, e_q], alpha e_w, e_t) + g(e_p, e_q, [alpha e_w, e_t])
+            pq = (p * n + q) * n
             terms += [x * ga[w][t][s] for s, x in c[p][q] if ga[w][t][s]]
-            terms += [x * gv[p][q][u] for u, x in alpha_br[w][t] if gv[p][q][u]]
+            terms += [x * gv[pq + u] for u, x in alpha_br[w][t] if gv[pq + u]]
         return sum(terms, ZERO)
 
-    coeffs = tuple(
-        tuple(tuple(tuple(value(i, j, k, t) for t in r) for k in r) for j in r) for i in r
-    )
-    return ScalarForm(n, 4, coeffs)
+    return ScalarForm(n, 4, tuple(value(*idx) for idx in product(r, repeat=4)))
 
 
 # ---------------------------------------------------------------------------
@@ -687,10 +628,19 @@ def compute_H2(rep: Representation) -> H2Result:
     """
     if not check_representation(rep).passed:
         raise InvalidRepresentation("compute_H2 requires a valid representation")
-    ambient = len(pairs(rep.algebra.dim)) * rep.vdim
+    n, m = rep.algebra.dim, rep.vdim
+    ambient = len(pairs(n)) * m
     c2 = cochain2_space(rep)
     c2_cols = c2.matrix().transpose()
-    z2_coeffs = kernel_basis(_d2_matrix(rep) @ c2_cols)
+    # d2 f is fully symmetric, so the rows of the sorted triples i <= j <= k suffice
+    d2m = _d2_matrix(rep)
+    sorted_rows = tuple(
+        d2m.entries[(pair * n + k) * m + p]
+        for pair, (i, j) in enumerate(pairs(n))
+        for k in range(j, n)
+        for p in range(m)
+    )
+    z2_coeffs = kernel_basis(Matrix(len(sorted_rows), d2m.cols, sorted_rows) @ c2_cols)
     z2 = Subspace.from_spanning(ambient, [c2_cols.apply(u) for u in z2_coeffs.basis])
     b2 = image_basis(_d1_matrix(rep) @ cochain1_space(rep).matrix().transpose())
     h2_dim, reps_vectors = quotient_dim(z2, b2)

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .cohomology import Cochain1, Cochain2, ScalarForm
+from .cohomology import Cochain1, Cochain2, ScalarForm, pairs
 from .errors import ParseError, SchemaError
 from .linalg import Matrix
 from .metric import MetricAlgebra
@@ -173,17 +173,17 @@ def cochain2_to_payload(f: Cochain2) -> dict:
     return {
         "degree": 2,
         "target": "module",
-        "coeffs": [[[format_scalar(x) for x in f.coeffs[i][j]] for j in range(n)] for i in range(n)],
+        "coeffs": [[[format_scalar(x) for x in f.value(i, j)] for j in range(n)] for i in range(n)],
     }
 
 
 def scalar_form_to_payload(f: ScalarForm) -> dict:
-    def walk(node, d):
-        if d == 0:
-            return format_scalar(node)
-        return [walk(child, d - 1) for child in node]
-
-    return {"degree": f.degree, "target": "scalar", "coeffs": walk(f.coeffs, f.degree)}
+    # nested `degree` deep, since the depth cannot be read off the
+    # coordinates when dim is 1 (or 0, whose form stays one empty list)
+    coeffs = [format_scalar(x) for x in f.coords]
+    for _ in range(f.degree - 1):
+        coeffs = [coeffs[s:s + f.dim] for s in range(0, len(coeffs), f.dim or 1)]
+    return {"degree": f.degree, "target": "scalar", "coeffs": coeffs}
 
 
 def cochain_from_payload(payload: dict, rep: Representation = None, algebra: Algebra = None):
@@ -208,10 +208,10 @@ def cochain_from_payload(payload: dict, rep: Representation = None, algebra: Alg
                 if not isinstance(coeffs[i], list) or len(coeffs[i]) != n:
                     raise SchemaError("2-cochain coeffs must be an n x n grid", field="coeffs")
                 grid.append(tuple(_vector_in(coeffs[i][j], rep.vdim, "coeffs") for j in range(n)))
-            try:
-                return Cochain2(rep, tuple(grid))
-            except ValueError as exc:
-                raise SchemaError(str(exc), field="coeffs") from exc
+            for i, j in pairs(n):
+                if grid[i][j] != grid[j][i]:
+                    raise SchemaError(f"2-cochain not symmetric at ({i}, {j})", field="coeffs")
+            return Cochain2.from_entries(rep, {(i, j): grid[i][j] for i, j in pairs(n)})
         raise SchemaError("module cochains have degree 1 or 2", field="degree")
     if target == "scalar":
         if algebra is None:
@@ -220,12 +220,12 @@ def cochain_from_payload(payload: dict, rep: Representation = None, algebra: Alg
             raise SchemaError("scalar forms have degree 2, 3 or 4", field="degree")
         n = algebra.dim
 
-        def walk(node, d, field="coeffs"):
+        def walk(node, d):
             if d == 0:
-                return _scalar_in(node, field)
+                return (_scalar_in(node, "coeffs"),)
             if not isinstance(node, list) or len(node) != n:
-                raise SchemaError(f"scalar form coeffs must be nested lists of length {n}", field=field)
-            return tuple(walk(child, d - 1, field) for child in node)
+                raise SchemaError(f"scalar form coeffs must be nested lists of length {n}", field="coeffs")
+            return tuple(x for child in node for x in walk(child, d - 1))
 
         return ScalarForm(n, degree, walk(coeffs, degree))
     raise SchemaError("target must be 'module' or 'scalar'", field="target")

@@ -141,9 +141,6 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries)))
 
-    def __neg__(self) -> "Matrix":
-        return self.scale(QQ(-1))
-
     def scale(self, c) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(vec_scale(c, r) for r in self.entries))
 
@@ -174,9 +171,6 @@ class Matrix:
 
     def hstack(self, other: "Matrix") -> "Matrix":
         return Matrix(self.rows, self.cols + other.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
 
 # ---------------------------------------------------------------------------

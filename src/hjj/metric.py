@@ -11,6 +11,7 @@ gamma(x, y, z) = B([x, y], z) is fully symmetric and d_r^3 gamma = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .algebra import Algebra, SubspaceOfAlgebra, check_hom_jacobi, center, derived_series
@@ -102,12 +103,9 @@ def gamma_form(m: MetricAlgebra) -> ScalarForm:
     axioms hold."""
     a = m.algebra
     n = a.dim
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                entries[(i, j, k)] = m.pair(a.bracket_basis(i, j), a.basis_vector(k))
-    return ScalarForm.from_entries(n, 3, entries)
+    return ScalarForm(n, 3, tuple(
+        m.pair(a.bracket_basis(i, j), a.basis_vector(k)) for i, j, k in product(range(n), repeat=3)
+    ))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .cohomology import (
     Cochain3,
     ScalarForm,
     _dr2_matrix,
+    _pair_positions,
     c2r_space,
     compute_H2,
     d1,
@@ -43,7 +44,7 @@ from .cohomology import (
     scalar3_sym12_to_vector,
 )
 from .errors import ContainmentViolation, PreconditionFailure
-from .linalg import Matrix, Subspace, bilinear, image_basis, kernel_basis, zero_vector
+from .linalg import Matrix, Subspace, image_basis, kernel_basis, zero_vector
 from .metric import MetricAlgebra, check_metric, is_isotropic, metric_criterion
 from .representations import (
     QuadraticRepresentation,
@@ -84,28 +85,35 @@ class QuadraticCochain1:
             raise ValueError("tau must satisfy tau o alpha = beta o tau")
 
 
+def _pair_values(f: Cochain2) -> Matrix:
+    """The values f(e_i, e_j) as the rows of an npairs x m matrix."""
+    m = f.rep.vdim
+    npairs = len(pairs(f.rep.algebra.dim))
+    return Matrix(npairs, m, tuple(f.coords[pair * m:(pair + 1) * m] for pair in range(npairs)))
+
+
 def wedge(f: Cochain2, g: Cochain2, form: Matrix) -> ScalarForm:
-    """B_a(f ^ g): the six (2,2)-shuffle pairings of the values of f and g."""
+    """B_a(f ^ g): the six (2,2)-shuffle pairings of the values of f and g,
+    read from the table B_a(f(P), g(Q)) over the pairs P, Q."""
     n = f.rep.algebra.dim
-    entries = {}
-    for idx in product(range(n), repeat=4):
-        total = ZERO
-        for sh in _SH22:
-            total += bilinear(form, f.value(idx[sh[0]], idx[sh[1]]), g.value(idx[sh[2]], idx[sh[3]]))
-        entries[idx] = total
-    return ScalarForm.from_entries(n, 4, entries)
+    pos = _pair_positions(n)
+    table = (_pair_values(f) @ form @ _pair_values(g).transpose()).entries
+    return ScalarForm(n, 4, tuple(
+        sum((table[pos[idx[a], idx[b]]][pos[idx[c], idx[d]]] for a, b, c, d in _SH22), ZERO)
+        for idx in product(range(n), repeat=4)
+    ))
 
 
 def wedge12(tau: Cochain1, h: Cochain2, form: Matrix) -> ScalarForm:
-    """B_a(tau ^ h): the three (1,2)-shuffle pairings (fully symmetric)."""
+    """B_a(tau ^ h): the three (1,2)-shuffle pairings (fully symmetric), read
+    from the table B_a(tau(e_j), h(P)) over the basis j and the pairs P."""
     n = tau.rep.algebra.dim
-    entries = {}
-    for idx in product(range(n), repeat=3):
-        total = ZERO
-        for sh in _SH12:
-            total += bilinear(form, tau.value(idx[sh[0]]), h.value(idx[sh[1]], idx[sh[2]]))
-        entries[idx] = total
-    return ScalarForm.from_entries(n, 3, entries)
+    pos = _pair_positions(n)
+    table = (tau.coeffs.transpose() @ form @ _pair_values(h).transpose()).entries
+    return ScalarForm(n, 3, tuple(
+        sum((table[idx[a]][pos[idx[b], idx[c]]] for a, b, c in _SH12), ZERO)
+        for idx in product(range(n), repeat=3)
+    ))
 
 
 def d2Q(c: QuadraticCochain2, qrep: QuadraticRepresentation) -> tuple[Cochain3, ScalarForm]:
@@ -116,16 +124,9 @@ def d2Q(c: QuadraticCochain2, qrep: QuadraticRepresentation) -> tuple[Cochain3, 
     """
     theta, gamma = c.theta, c.gamma
     a = theta.rep.algebra
-    n = a.dim
-    first = d2(theta)
-    dr3_part = _gamma_matrix(a).apply(scalar3_sym12_to_vector(gamma))
-    wedge_part = _contract_identity_slot(a, wedge(theta, theta.twist_arguments(), qrep.form))
-    half = QQ(1, 2)
-    entries = {
-        idx: g + half * w
-        for idx, g, w in zip(product(range(n), repeat=4), dr3_part, wedge_part)
-    }
-    return first, ScalarForm.from_entries(n, 4, entries)
+    dr3_part = ScalarForm(a.dim, 4, _gamma_matrix(a).apply(scalar3_sym12_to_vector(gamma)))
+    wedge_part = wedge(theta, theta.twist_arguments(), qrep.form).scale(QQ(1, 2))
+    return d2(theta), dr3_part + wedge_part
 
 
 def d1Q(c: QuadraticCochain1, qrep: QuadraticRepresentation) -> QuadraticCochain2:
@@ -134,11 +135,6 @@ def d1Q(c: QuadraticCochain1, qrep: QuadraticRepresentation) -> QuadraticCochain
     dtau = d1(c.tau)
     second = dr2(a, c.sigma) - wedge12(c.tau, dtau, qrep.form).scale(QQ(1, 2))
     return QuadraticCochain2(dtau, second)
-
-
-def is_quadratic_cocycle(c: QuadraticCochain2, qrep: QuadraticRepresentation) -> bool:
-    first, second = d2Q(c, qrep)
-    return first.is_zero() and second.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +239,7 @@ def compute_H2Q(a: Algebra, qrep: QuadraticRepresentation) -> H2QResult:
     all_obstructed = True
     for t in z_basis:
         rhs = wedge(t, t.twist_arguments(), qrep.form).scale(QQ(-1, 2))
-        if gamma_columns.contains(_contract_identity_slot(a, rhs)):
+        if gamma_columns.contains(rhs.coords):
             all_obstructed = False
             fibers.append(FiberInfo(t, True, gamma_kernel.dim))
         else:
@@ -288,11 +284,6 @@ def _gamma_matrix(a: Algebra) -> Matrix:
                 )
             )
     return Matrix(len(rows), ncols, tuple(rows))
-
-
-def _contract_identity_slot(a: Algebra, g4: ScalarForm):
-    n = a.dim
-    return tuple(g4.value(*idx) for idx in product(range(n), repeat=4))
 
 
 # ---------------------------------------------------------------------------

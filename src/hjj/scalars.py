@@ -33,9 +33,6 @@ else:
     _RAT = Fraction
     BACKEND = "fractions"
 
-#: types accepted wherever a scalar is expected
-RATIONAL_TYPES = (int, Fraction) if _RAT is Fraction else (int, Fraction, _RAT)
-
 
 def QQ(numerator=0, denominator=None):
     """Build an exact rational.
@@ -68,15 +65,6 @@ def _parse_rational(text: str):
     return _RAT(int(text))
 
 
-def is_rational(x) -> bool:
-    return isinstance(x, RATIONAL_TYPES) and not isinstance(x, bool)
-
-
 def format_scalar(x) -> str:
     """Canonical text form: ``"p"`` for integers, ``"p/q"`` otherwise."""
     return str(_RAT(x))
-
-
-def as_fraction(x) -> Fraction:
-    """Convert to ``fractions.Fraction`` (used at serialization boundaries)."""
-    return Fraction(int(x.numerator), int(x.denominator)) if not isinstance(x, int) else Fraction(x)

@@ -1,5 +1,6 @@
 """The public surface that stays stable: the names ``hjj`` exports, and the
-value interface of the 3-cochains the coboundary operators return."""
+value interface of the 2-cochains, of the 3-cochains the coboundary
+operators return, and of the wedge."""
 
 import types
 from itertools import product
@@ -17,6 +18,7 @@ from hjj import (
     d2,
     d2Q,
     dc2,
+    wedge,
 )
 
 PUBLIC_NAMES = [
@@ -50,9 +52,9 @@ def test_public_names():
     assert names == PUBLIC_NAMES
 
 
-def _theta(beta):
-    # untwisted, so every 2-cochain is compatible when beta = 1
-    alg = Algebra.from_brackets(2, {(0, 0): (1, 2), (0, 1): (0, 1), (1, 1): (3, 0)}, Matrix.identity(2))
+def _theta(beta, alpha=((1, 0), (0, 1))):
+    # untwisted by default, so every 2-cochain is compatible when beta = 1
+    alg = Algebra.from_brackets(2, {(0, 0): (1, 2), (0, 1): (0, 1), (1, 1): (3, 0)}, Matrix.from_rows(alpha))
     rep = Representation(
         alg, 1, (Matrix.from_rows([[2]]), Matrix.from_rows([[-1]])), Matrix.from_rows([[beta]])
     )
@@ -74,3 +76,17 @@ def test_three_cochain_values():
     out = dc2(_theta(2))
     assert _values(out) == [(QQ(x),) for x in (28, 10, 17, -8, 17, -8, -4, 28)]
     assert d2(Cochain2.zero(theta.rep)).is_zero() and dc2(Cochain2.zero(theta.rep)).is_zero()
+
+
+def test_two_cochain_coordinates():
+    theta = _theta(1)
+    # one V-coordinate per pair (0, 0), (0, 1), (1, 1)
+    assert theta.to_vector() == (QQ(1), QQ(2), QQ(-1))
+    assert theta.twist_arguments().to_vector() == theta.to_vector()
+    # alpha e_0 = e_0, alpha e_1 = e_0 + 2 e_1
+    twisted = _theta(1, alpha=((1, 1), (0, 2))).twist_arguments()
+    assert twisted.to_vector() == (QQ(1), QQ(5), QQ(5))
+    w = wedge(theta, theta, Matrix.identity(1))
+    assert [w.value(*idx) for idx in product(range(2), repeat=4)] == [
+        QQ(x) for x in (6, 12, 12, 14, 12, 14, 14, -12, 12, 14, 14, -12, 14, -12, -12, 6)
+    ]

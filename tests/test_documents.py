@@ -118,7 +118,9 @@ def test_cochain_payloads():
     a = instantiate("J^1_{1,1}", {"a": 2})
     rep = Representation.zero_action(a, 1, Matrix.from_rows([[QQ(4)]]))
     theta = Cochain2.from_entries(rep, {(0, 0): [QQ(1, 3)]})
-    back = cochain_from_payload(cochain2_to_payload(theta), rep=rep)
+    payload = cochain2_to_payload(theta)
+    assert payload == {"degree": 2, "target": "module", "coeffs": [[["1/3"], ["0"]], [["0"], ["0"]]]}
+    back = cochain_from_payload(payload, rep=rep)
     assert back == theta
     f = Cochain1(rep, Matrix.from_rows([[0, 1]]))
     back1 = cochain_from_payload(cochain1_to_payload(f), rep=rep)
@@ -126,6 +128,33 @@ def test_cochain_payloads():
     gamma = ScalarForm.from_entries(2, 3, {(0, 0, 1): QQ(5)}, symmetrize=True)
     back3 = cochain_from_payload(scalar_form_to_payload(gamma), algebra=a)
     assert back3 == gamma
+
+    # scalar forms nest `degree` deep in product order, also when dim is 1
+    line = Algebra.abelian(1, Matrix.identity(1))
+    forms = [
+        (line, ScalarForm.from_entries(1, 3, {(0, 0, 0): QQ(-2, 3)}), [[["-2/3"]]]),
+        (a, ScalarForm.from_entries(2, 2, {(0, 1): QQ(5), (1, 0): QQ(-1, 2)}), [["0", "5"], ["-1/2", "0"]]),
+        (
+            a,
+            ScalarForm.from_entries(
+                2, 4, {(0, 0, 0, 1): QQ(3), (0, 1, 1, 0): QQ(1, 2), (1, 1, 1, 0): QQ(-1)}
+            ),
+            [
+                [[["0", "3"], ["0", "0"]], [["0", "0"], ["1/2", "0"]]],
+                [[["0", "0"], ["0", "0"]], [["0", "0"], ["-1", "0"]]],
+            ],
+        ),
+    ]
+    for algebra, form, coeffs in forms:
+        payload = scalar_form_to_payload(form)
+        assert payload == {"degree": form.degree, "target": "scalar", "coeffs": coeffs}
+        assert cochain_from_payload(payload, algebra=algebra) == form
+
+    asymmetric = {"degree": 2, "target": "module", "coeffs": [[["1"], ["2"]], [["3"], ["4"]]]}
+    with pytest.raises(SchemaError) as err:
+        cochain_from_payload(asymmetric, rep=rep)
+    assert err.value.field == "coeffs"
+    assert str(err.value) == "2-cochain not symmetric at (0, 1)"
 
 
 def test_metric_roundtrip():

@@ -21,7 +21,7 @@ from hjj.cohomology import (
     scalar2_from_vector,
 )
 from hjj.errors import PreconditionFailure
-from hjj.linalg import vec_add, vec_scale, zero_vector
+from hjj.linalg import bilinear, vec_add, vec_scale, zero_vector
 from hjj.metric import check_metric, gamma_form, is_isotropic, metric_criterion
 from hjj.quadratic import (
     _gamma_matrix,
@@ -37,7 +37,7 @@ from hjj.quadratic import (
 )
 from hjj.representations import QuadraticRepresentation, Representation
 
-from .gen import rand_scalar, rand_structure, random_quadratic
+from .gen import rand_matrix, rand_scalar, rand_structure, random_quadratic
 
 
 def dim1_setup(alpha=1, beta=1, b_a=1):
@@ -83,6 +83,36 @@ def test_wedge12_shuffles():
     assert w.value(0, 0, 1) == QQ(1)
     assert w.value(0, 0, 0) == QQ(0)
     assert w.is_fully_symmetric()
+
+
+def test_wedge_matches_shuffle_definition():
+    """wedge and wedge12 entry by entry against the six (2,2)- and three
+    (1,2)-shuffle pairings, evaluated with bilinear on value(), for random
+    cochains and a symmetric form with nonzero off-diagonal entries."""
+    rng = random.Random(53)
+    for n, m in product(range(1, 5), range(1, 4)):
+        rep = Representation.zero_action(rand_structure(rng, n), m, Matrix.identity(m))
+        f, g = (
+            Cochain2.from_vector(rep, [rand_scalar(rng) for _ in range(len(pairs(n)) * m)]) for _ in range(2)
+        )
+        tau = Cochain1.from_vector(rep, [rand_scalar(rng) for _ in range(n * m)])
+        while True:
+            b = rand_matrix(rng, m, m)
+            form = b + b.transpose()
+            if m == 1 or any(form.entry(p, q) != 0 for p in range(m) for q in range(p)):
+                break
+        w, w12 = wedge(f, g, form), wedge12(tau, f, form)
+        for x, y, z, t in product(range(n), repeat=4):
+            expected = QQ(0)
+            shuffles = ((x, y, z, t), (x, z, y, t), (x, t, y, z), (y, z, x, t), (y, t, x, z), (z, t, x, y))
+            for p, q, r, s in shuffles:
+                expected += bilinear(form, f.value(p, q), g.value(r, s))
+            assert w.value(x, y, z, t) == expected
+        for x, y, z in product(range(n), repeat=3):
+            expected = QQ(0)
+            for p, q, r in ((x, y, z), (y, x, z), (z, x, y)):
+                expected += bilinear(form, tau.value(p), f.value(q, r))
+            assert w12.value(x, y, z) == expected
 
 
 # -- d2Q / d1Q ------------------------------------------------------------------
