@@ -288,7 +288,7 @@ def cmd_catalog_verify(args) -> int:
 def cmd_classify(args) -> int:
     grid = DEFAULT_GRID
     env = os.environ.get(GRID_ENV)
-    if args.grid:
+    if args.grid is not None:
         grid = _parse_grid(args.grid, "--grid")
     elif env:
         grid = _parse_grid(env, GRID_ENV)

@@ -35,6 +35,7 @@ from .linalg import (
     Vector,
     image_basis,
     kernel_basis,
+    kron,
     quotient_dim,
     vec,
     vec_add,
@@ -318,23 +319,10 @@ def scalar3_sym12_to_vector(f: ScalarForm) -> Vector:
 
 
 def cochain1_space(rep: Representation) -> Subspace:
-    """{f linear : f o alpha = beta o f} inside QQ^(m*n)."""
-    a, m = rep.algebra, rep.vdim
-    n = a.dim
-    rows = []
-    for j in range(n):
-        for p in range(m):
-            row = [ZERO] * (m * n)
-            for k in range(n):
-                c = a.alpha.entry(k, j)
-                if c != 0:
-                    row[k * m + p] += c
-            for q in range(m):
-                c = rep.beta.entry(p, q)
-                if c != 0:
-                    row[j * m + q] -= c
-            rows.append(tuple(row))
-    return kernel_basis(Matrix(len(rows), m * n, tuple(rows)))
+    """{f linear : f o alpha = beta o f} inside QQ^(m*n): row j*m + p of
+    the constraint is (f(alpha e_j) - beta f(e_j))_p."""
+    at, n, m = rep.algebra.alpha.transpose(), rep.algebra.dim, rep.vdim
+    return kernel_basis(kron(at, Matrix.identity(m)) - kron(Matrix.identity(n), rep.beta))
 
 
 def cochain2_space(rep: Representation) -> Subspace:
@@ -372,21 +360,10 @@ def cochain2_space(rep: Representation) -> Subspace:
 
 def c2r_space(a: Algebra) -> Subspace:
     """Bilinear scalar forms with the dual-twist compatibility
-    f(alpha x, y) = f(x, alpha y), inside QQ^(n*n)."""
-    n = a.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [ZERO] * (n * n)
-            for k in range(n):
-                c = a.alpha.entry(k, i)
-                if c != 0:
-                    row[k * n + j] += c
-                c = a.alpha.entry(k, j)
-                if c != 0:
-                    row[i * n + k] -= c
-            rows.append(tuple(row))
-    return kernel_basis(Matrix(len(rows), n * n, tuple(rows)))
+    f(alpha x, y) = f(x, alpha y), inside QQ^(n*n): row i*n + j of the
+    constraint is f(alpha e_i, e_j) - f(e_i, alpha e_j)."""
+    at = a.alpha.transpose()
+    return kernel_basis(kron(at, Matrix.identity(a.dim)) - kron(Matrix.identity(a.dim), at))
 
 
 def c3r_space(a: Algebra) -> Subspace:

@@ -173,6 +173,13 @@ class Matrix:
         return Matrix(self.rows, self.cols + other.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
 
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product: entry (i*b.rows + p, j*b.cols + q) is a_ij b_pq."""
+    return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(
+        tuple(x * y for x in ra for y in rb) for ra in a.entries for rb in b.entries
+    ))
+
+
 # ---------------------------------------------------------------------------
 # Gaussian elimination
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional
 from .algebra import Algebra, SubspaceOfAlgebra, check_hom_jacobi, center, derived_series
 from .cohomology import ScalarForm, dr3
 from .errors import DegenerateForm
-from .linalg import Matrix, Subspace, bilinear, determinant, kernel_basis
+from .linalg import Matrix, Subspace, determinant, kernel_basis
 from .reports import CheckReport, Violation
 from .representations import coadjoint_condition
 
@@ -37,9 +37,6 @@ class MetricAlgebra:
             raise ValueError("form must be symmetric")
         if n > 0 and determinant(self.form) == 0:
             raise DegenerateForm("metric form is degenerate")
-
-    def pair(self, x, y):
-        return bilinear(self.form, x, y)
 
 
 @dataclass(frozen=True)
@@ -71,18 +68,18 @@ class MetricReport:
 
 def check_metric(m: MetricAlgebra) -> MetricReport:
     """Invariance and Hom-invariance on all basis tuples, plus the ambient
-    Hom-Jacobi and coadjoint identities for the criterion cross-check."""
+    Hom-Jacobi and coadjoint identities for the criterion cross-check.
+
+    Invariance is read from gamma (``gamma_form``): B is symmetric, so
+    B(e_i, [e_j, e_k]) - B([e_i, e_j], e_k) = gamma(j, k, i) - gamma(i, j, k)."""
     a = m.algebra
     n = a.dim
+    gamma = gamma_form(m).coords
     inv_violations = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # B(e_i, [e_j, e_k]) - B([e_i, e_j], e_k), full triple scan
-                lhs = m.pair(a.basis_vector(i), a.bracket_basis(j, k))
-                rhs = m.pair(a.bracket_basis(i, j), a.basis_vector(k))
-                if lhs != rhs:
-                    inv_violations.append(Violation((i, j, k), (lhs - rhs,)))
+    for i, j, k in product(range(n), repeat=3):
+        d = gamma[(j * n + k) * n + i] - gamma[(i * n + j) * n + k]
+        if d != 0:
+            inv_violations.append(Violation((i, j, k), (d,)))
     hom_violations = []
     defect = m.form @ a.alpha - a.alpha.transpose() @ m.form
     for i in range(n):
@@ -99,13 +96,13 @@ def check_metric(m: MetricAlgebra) -> MetricReport:
 
 
 def gamma_form(m: MetricAlgebra) -> ScalarForm:
-    """gamma(x, y, z) = B([x, y], z); fully symmetric when the metric
-    axioms hold."""
+    """gamma(x, y, z) = B([x, y], z), one product: the n^2 x n matrix whose
+    row i*n + j is [e_i, e_j] times the form.  Fully symmetric when the
+    metric axioms hold."""
     a = m.algebra
     n = a.dim
-    return ScalarForm(n, 3, tuple(
-        m.pair(a.bracket_basis(i, j), a.basis_vector(k)) for i, j, k in product(range(n), repeat=3)
-    ))
+    brackets = Matrix(n * n, n, tuple(a.bracket_tensor[i][j] for i, j in product(range(n), repeat=2)))
+    return ScalarForm(n, 3, tuple(x for row in (brackets @ m.form).entries for x in row))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,9 @@ The defining laws, checked exactly on basis elements (sufficient by
     rho(alpha(x)) o beta = beta o rho(x)
     rho([x, y]) o beta   = -rho(alpha(x)) rho(y) - rho(alpha(y)) rho(x)
 
+check_representation reads both from the algebra's structure tables
+(``_structure_tables``), as the coboundary matrices in ``cohomology`` do.
+
 A quadratic representation adds a symmetric nondegenerate form on V for
 which every rho(x) is self-adjoint.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import TYPE_CHECKING
 
-from .algebra import Algebra, _structure_tables
+from .algebra import Algebra, _combine, _nonzero, _structure_tables
 from .errors import DegenerateForm, UnsupportedSystem
 from .linalg import Matrix, Vector, bilinear, determinant, vec_add, vec_is_zero
 from .reports import CheckReport, Violation
@@ -49,14 +52,6 @@ class Representation:
     def zero_action(algebra: Algebra, vdim: int, beta: Matrix) -> "Representation":
         return Representation(algebra, vdim, tuple(Matrix.zero(vdim, vdim) for _ in range(algebra.dim)), beta)
 
-    def rho_of(self, x: Vector) -> Matrix:
-        """rho extended linearly to an arbitrary algebra element."""
-        out = Matrix.zero(self.vdim, self.vdim)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                out = out + self.rho[i].scale(xi)
-        return out
-
 
 @dataclass(frozen=True)
 class QuadraticRepresentation:
@@ -79,22 +74,27 @@ class QuadraticRepresentation:
 
 
 def check_representation(r: Representation) -> CheckReport:
-    """Both representation laws, with exact matrix residuals."""
+    """Both representation laws, with exact matrix residuals, from the
+    structure tables: rho(alpha(e_i)) is built once per i from the twist
+    columns and rho([e_i, e_j]) from the nonzero c_ij^s."""
     violations = []
-    a = r.algebra
+    a, m = r.algebra, r.vdim
     n = a.dim
-    alpha_cols = [a.alpha.column(i) for i in range(n)]
+    c, alpha_cols, _ = _structure_tables(a)
+    rho_entries = [_nonzero(_flatten(x)) for x in r.rho]
+
+    def rho_sum(coeffs) -> Matrix:
+        flat = _combine(m * m, coeffs, rho_entries)
+        return Matrix(m, m, tuple(tuple(flat[p * m:(p + 1) * m]) for p in range(m)))
+
+    rho_alpha = [rho_sum(alpha_cols[i]) for i in range(n)]
     for i in range(n):
-        defect = r.rho_of(alpha_cols[i]) @ r.beta - r.beta @ r.rho[i]
+        defect = rho_alpha[i] @ r.beta - r.beta @ r.rho[i]
         if not defect.is_zero():
             violations.append(Violation(("rep1", i), _flatten(defect), "rho(alpha x) beta - beta rho(x)"))
     for i in range(n):
         for j in range(i, n):
-            defect = (
-                r.rho_of(a.bracket_basis(i, j)) @ r.beta
-                + r.rho_of(alpha_cols[i]) @ r.rho[j]
-                + r.rho_of(alpha_cols[j]) @ r.rho[i]
-            )
+            defect = rho_sum(c[i][j]) @ r.beta + rho_alpha[i] @ r.rho[j] + rho_alpha[j] @ r.rho[i]
             if not defect.is_zero():
                 violations.append(Violation(("rep2", i, j), _flatten(defect)))
     return CheckReport("representation", tuple(violations))

@@ -17,6 +17,7 @@ check_representation; this is asserted, not assumed.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from hjj import QQ, Matrix
 from hjj.algebra import Algebra, check_hom_jacobi, check_multiplicative
@@ -30,7 +31,8 @@ from hjj.cohomology import (
     cochain2_space,
     scalar2_from_vector,
 )
-from hjj.linalg import invert, vec_add, vec_scale, zero_vector
+from hjj.linalg import bilinear, invert, vec_add, vec_scale, zero_vector
+from hjj.metric import MetricAlgebra
 from hjj.representations import (
     QuadraticRepresentation,
     Representation,
@@ -233,3 +235,23 @@ def random_cochain2(rng: random.Random, rep: Representation) -> Cochain2:
 
 def random_c2r_form(rng: random.Random, algebra: Algebra) -> ScalarForm:
     return scalar2_from_vector(algebra.dim, _random_member(rng, c2r_space(algebra)))
+
+
+# ---------------------------------------------------------------------------
+# Dense reference formulas
+# ---------------------------------------------------------------------------
+
+
+def dense_invariance_violations(m: MetricAlgebra) -> list:
+    """(where, residual) for every basis triple (i, j, k), in product order,
+    with B(e_i, [e_j, e_k]) != B([e_i, e_j], e_k), evaluated with
+    Algebra.bracket and bilinear: the definition that check_metric's
+    invariance report, read from gamma, is tested against."""
+    a = m.algebra
+    e = [a.basis_vector(i) for i in range(a.dim)]
+    out = []
+    for i, j, k in product(range(a.dim), repeat=3):
+        d = bilinear(m.form, e[i], a.bracket(e[j], e[k])) - bilinear(m.form, a.bracket(e[i], e[j]), e[k])
+        if d != 0:
+            out.append(((i, j, k), (d,)))
+    return out

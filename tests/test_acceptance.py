@@ -282,7 +282,7 @@ def _hom_invariant_form(rng, alpha):
 
 
 def test_criterion_7_gamma_criterion_iff():
-    from .gen import conjugate_algebra, rand_invertible
+    from .gen import conjugate_algebra, dense_invariance_violations, rand_invertible
 
     rng = random.Random(113)
     agreements = 0
@@ -317,7 +317,10 @@ def test_criterion_7_gamma_criterion_iff():
                 candidate = MetricAlgebra(Algebra.from_brackets(n, brackets, alpha), form)
         rep = check_metric(candidate)
         crit = metric_criterion(candidate)
-        axiom_side = rep.invariance.passed and rep.hom_jacobi.passed and rep.coadjoint.passed
+        # invariance from its definition, so the iff does not compare gamma with itself
+        invariant = not dense_invariance_violations(candidate)
+        assert invariant == rep.invariance.passed
+        axiom_side = invariant and rep.hom_jacobi.passed and rep.coadjoint.passed
         criterion_side = crit.gamma_symmetric and crit.dr3_gamma_zero
         assert axiom_side == criterion_side
         if axiom_side:

@@ -283,7 +283,7 @@ def test_usage_errors_exit2(files, capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "catalog", "verify", "J^1_{1,1}", "--params", "a=0.5")
     assert code == 2
     # bad classify grid, from the flag or from HJJ_GRID
-    for grid in ("1,abc", "1/0"):
+    for grid in ("1,abc", "1/0", ""):
         code, _, err = run(capsys, "classify", "--dim", "2", "--grid", grid)
         assert code == 2 and "field --grid" in err and "Traceback" not in err
     monkeypatch.setenv("HJJ_GRID", "x")

@@ -1,11 +1,11 @@
 import random
-from functools import reduce
-from itertools import product
+from functools import partial, reduce
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from hjj import QQ, Matrix
-from hjj.algebra import Algebra
+from hjj.algebra import Algebra, check_hom_jacobi, check_multiplicative
 from hjj.catalog import instantiate
 from hjj.cohomology import (
     Cochain1,
@@ -29,12 +29,14 @@ from hjj.cohomology import (
     pairs,
 )
 from hjj.errors import InvalidRepresentation, NotACochain
-from hjj.linalg import vec_add, vec_sub
+from hjj.linalg import determinant, vec_add, vec_sub
+from hjj.metric import MetricAlgebra, check_metric
 from hjj.quadratic import build_twofold
-from hjj.representations import QuadraticRepresentation, Representation
+from hjj.representations import QuadraticRepresentation, Representation, check_representation
 
 from .gen import (
     conjugate_algebra,
+    dense_invariance_violations,
     rand_invertible,
     rand_matrix,
     rand_scalar,
@@ -239,6 +241,12 @@ def _unit(size, idx):
     return tuple(QQ(1) if x == idx else QQ(0) for x in range(size))
 
 
+def _dense_rho(rep, x):
+    """rho extended linearly to the algebra element x, as a dense sum."""
+    m = rep.vdim
+    return reduce(Matrix.__add__, (r.scale(xi) for r, xi in zip(rep.rho, x)), Matrix.zero(m, m))
+
+
 def test_operator_matrices_match_defining_formulas():
     """Every column of the d1, d2, dc2 and dr2 matrices against the defining
     formula, evaluated with Algebra.bracket and dense loops on unit cochains
@@ -250,7 +258,7 @@ def test_operator_matrices_match_defining_formulas():
         rep = Representation(
             a, m, tuple(rand_matrix(rng, m, m) for _ in range(n)), rand_matrix(rng, m, m)
         )
-        br, rho, beta = a.bracket, rep.rho_of, rep.beta.apply
+        br, rho, beta = a.bracket, partial(_dense_rho, rep), rep.beta.apply
         e = [a.basis_vector(i) for i in range(n)]
         ac = [a.alpha.column(i) for i in range(n)]
         triples = [(e[i], e[j], e[k], ac[i], ac[j], ac[k]) for (i, j), k in product(pairs(n), range(n))]
@@ -291,6 +299,71 @@ def test_operator_matrices_match_defining_formulas():
                 for x, y, z, _, _, _ in triples
             )
             assert dr2m.column(col) == expected
+
+
+def _flat(mat):
+    return tuple(x for row in mat.entries for x in row)
+
+
+def _failures(residuals):
+    """The (where, residual) pairs whose residual is nonzero, in order."""
+    return [(where, tuple(r)) for where, r in residuals if any(x != 0 for x in r)]
+
+
+def test_axiom_checks_match_dense_definitions():
+    """The full violation lists (where, residual, order) of check_hom_jacobi,
+    check_multiplicative, check_representation and check_metric's invariance
+    against their defining formulas, evaluated with Algebra.bracket, dense
+    rho sums and bilinear.  Random structures with random rho, beta and
+    symmetric nondegenerate forms mostly fail; valid pairs pass."""
+    rng = random.Random(47)
+    outcomes = {}
+    for n, m in product(range(1, 5), range(1, 4)):
+        cases = [random_pair(rng)]
+        for a in (rand_structure(rng, n), rand_structure(rng, n)):
+            action = tuple(rand_matrix(rng, m, m) for _ in range(n))
+            cases.append((a, Representation(a, m, action, rand_matrix(rng, m, m))))
+        for a, rep in cases:
+            k = a.dim
+            br, rho, beta = a.bracket, partial(_dense_rho, rep), rep.beta
+            e = [a.basis_vector(i) for i in range(k)]
+            ac = [a.alpha.column(i) for i in range(k)]
+            expected = {
+                "hom-jacobi": _failures(
+                    ((x, y, z), reduce(vec_add, (
+                        br(ac[x], br(e[y], e[z])), br(ac[y], br(e[z], e[x])), br(ac[z], br(e[x], e[y])),
+                    )))
+                    for x, y, z in combinations_with_replacement(range(k), 3)
+                ),
+                "multiplicative": _failures(
+                    ((x, y), vec_sub(a.alpha.apply(br(e[x], e[y])), br(ac[x], ac[y]))) for x, y in pairs(k)
+                ),
+                "representation": _failures(
+                    [(("rep1", x), _flat(rho(ac[x]) @ beta - beta @ rho(e[x]))) for x in range(k)]
+                    + [
+                        (("rep2", x, y), _flat(
+                            rho(br(e[x], e[y])) @ beta + rho(ac[x]) @ rho(e[y]) + rho(ac[y]) @ rho(e[x])
+                        ))
+                        for x, y in pairs(k)
+                    ]
+                ),
+            }
+            while True:
+                form = rand_matrix(rng, k, k)
+                form = form + form.transpose()
+                if determinant(form) != 0:
+                    break
+            metric = MetricAlgebra(a, form)
+            expected["invariance"] = dense_invariance_violations(metric)
+            for report in (
+                check_hom_jacobi(a),
+                check_multiplicative(a),
+                check_representation(rep),
+                check_metric(metric).invariance,
+            ):
+                assert [(v.where, v.residual) for v in report.violations] == expected[report.name]
+                outcomes.setdefault(report.name, set()).add(report.passed)
+    assert outcomes == {name: {True, False} for name in expected}
 
 
 def test_operators_vanish_on_abelian():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from hjj.linalg import (
     image_basis,
     invert,
     kernel_basis,
+    kron,
     minpoly,
     poly_eval,
     quotient_dim,
@@ -131,6 +134,17 @@ def test_determinant_and_rank():
     assert determinant(m) == 1
     assert rank(m) == 2
     assert determinant(Matrix.from_rows([[1, 2], [2, 4]])) == 0
+
+
+def test_kron():
+    a = Matrix.from_rows([[1, 2, 0], [0, -1, 3]])
+    b = Matrix.from_rows([[1, 5], [7, 2], [0, 4]])
+    k = kron(a, b)
+    assert (k.rows, k.cols) == (6, 6)
+    for i, j, p, q in product(range(2), range(3), range(3), range(2)):
+        assert k.entry(i * 3 + p, j * 2 + q) == a.entry(i, j) * b.entry(p, q)
+    empty = kron(Matrix.identity(2), Matrix.zero(0, 0))
+    assert (empty.rows, empty.cols) == (0, 0)
 
 
 def test_charpoly_minpoly():
