@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra, LinearMapBetweenAlgebras
-from .cohomology import Cochain1, Cochain2, _d1_matrix, cochain1_space, d1, d2
+from .cohomology import Cochain1, Cochain2, Cochain3, _d1_matrix, _d2_matrix, cochain1_space, d1
 from .errors import InvalidCocycle, InvalidRepresentation, NotACochain
 from .linalg import Matrix, Subspace, solve, zero_vector
 from .representations import Representation, check_representation
@@ -42,7 +42,7 @@ class ExtensionSpec:
             raise InvalidRepresentation("extension spec: representation laws fail")
         if not self.cocycle.is_compatible():
             raise NotACochain("extension spec: theta violates beta o theta = theta o alpha")
-        image = d2(self.cocycle)
+        image = Cochain3(self.rep, _d2_matrix(self.rep).apply(self.cocycle.coords))
         n = self.base.dim
         for i in range(n):
             for j in range(i, n):

@@ -7,6 +7,8 @@ all over exact rationals.  Matrices are tiny (cochain spaces at dimension
 favours determinism over asymptotics:
 
 * pivots are always chosen leftmost-first, topmost-first;
+* elimination (``rref``, ``determinant``) runs on integer rows, each row's
+  denominators cleared, and builds each rational entry once at the end;
 * a :class:`Subspace` stores its basis in reduced row echelon form, which
   makes equality of subspaces literal equality of bases.
 
@@ -16,10 +18,11 @@ All values are immutable; every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ContainmentViolation
-from .scalars import ONE, QQ, ZERO
+from .scalars import ONE, QQ, ZERO, ratio
 
 Vector = tuple  # tuple of scalars
 
@@ -185,36 +188,57 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def _integer_row(row) -> tuple[list, int, int]:
+    """Clear a rational row: ``row = (content / den) * ints`` with ``ints``
+    primitive integers (content 0 for a zero row)."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    content = gcd(*ints)
+    if content > 1:
+        ints = [x // content for x in ints]
+    return ints, content, den
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with the strictly increasing pivot columns.
 
     Pivot choice is leftmost column, topmost nonzero row, so the result is
     the unique RREF and the computation is reproducible bit for bit.
+    Elimination runs on integer rows: each row is cleared of denominators,
+    a non-pivot row becomes ``p*row - f*pivot_row`` divided by its gcd, and
+    each pivot row is divided by its pivot once at the end.  Every
+    intermediate row is a nonzero multiple of the rational one, so the pivots
+    and the output are those of rational elimination.
     """
-    rows = [list(r) for r in m.entries]
+    rows = [_integer_row(r)[0] for r in m.entries]
     nrows, ncols = m.rows, m.cols
     pivots = []
     r = 0
     for c in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                new = [p * x - f * y for x, y in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return Matrix(nrows, ncols, tuple(tuple(row) for row in rows)), tuple(pivots)
+    out = [tuple(ZERO if not x else ONE if x == row[c] else ratio(x, row[c]) for x in row)
+           for row, c in zip(rows, pivots)]
+    out += [(ZERO,) * ncols] * (nrows - r)
+    return Matrix(nrows, ncols, tuple(out)), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -238,30 +262,35 @@ def solve(m: Matrix, rhs: Vector):
 
 
 def determinant(m: Matrix):
-    """Exact determinant by fraction-preserving elimination."""
+    """Exact determinant by Bareiss fraction-free elimination (exact integer
+    division) on the integer rows, divided by the product of the row scales."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    rows = [list(r) for r in m.entries]
     n = m.rows
-    det = ONE
+    rows, num, den = [], 1, 1
+    for r in m.entries:
+        ints, content, d = _integer_row(r)
+        rows.append(ints)
+        num *= content
+        den *= d
+    prev = 1
     for c in range(n):
         pivot_row = None
         for i in range(c, n):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             return ZERO
         if pivot_row != c:
             rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = ONE / rows[c][c]
+            num = -num
+        prow, p = rows[c], rows[c][c]
         for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
+            row, f = rows[i], rows[i][c]
+            rows[i] = [(p * row[j] - f * prow[j]) // prev if j > c else 0 for j in range(n)]
+        prev = p
+    return ratio(num * prev, den)
 
 
 def invert(m: Matrix):
@@ -470,8 +499,6 @@ def rational_roots(poly: Sequence) -> tuple:
         coeffs.pop()
     if len(coeffs) == 1:
         return tuple(sorted(roots))
-    from math import lcm
-
     denom = lcm(*[int(c.denominator) for c in coeffs]) if len(coeffs) > 1 else 1
     ints = [int(c * denom) for c in coeffs]
 

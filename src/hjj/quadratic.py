@@ -124,7 +124,10 @@ def d2Q(c: QuadraticCochain2, qrep: QuadraticRepresentation) -> tuple[Cochain3, 
     """
     theta, gamma = c.theta, c.gamma
     a = theta.rep.algebra
-    dr3_part = ScalarForm(a.dim, 4, _gamma_matrix(a).apply(scalar3_sym12_to_vector(gamma)))
+    if gamma.is_zero():
+        dr3_part = ScalarForm.zero(a.dim, 4)
+    else:
+        dr3_part = ScalarForm(a.dim, 4, _gamma_matrix(a).apply(scalar3_sym12_to_vector(gamma)))
     wedge_part = wedge(theta, theta.twist_arguments(), qrep.form).scale(QQ(1, 2))
     return d2(theta), dr3_part + wedge_part
 

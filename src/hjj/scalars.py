@@ -50,6 +50,12 @@ def QQ(numerator=0, denominator=None):
     return _RAT(numerator)
 
 
+def ratio(numerator: int, denominator: int):
+    """The rational numerator/denominator of two ints (denominator nonzero),
+    built once by the backend without QQ's argument checks."""
+    return _RAT(numerator, denominator)
+
+
 ZERO = QQ(0)
 ONE = QQ(1)
 

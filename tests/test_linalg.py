@@ -1,9 +1,11 @@
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hjj import QQ
+from hjj import linalg
 from hjj.errors import ContainmentViolation
 from hjj.linalg import (
     Matrix,
@@ -35,6 +37,115 @@ def small_matrices(max_dim=4):
             )
         )
     ).map(Matrix.from_rows)
+
+
+# Rational elimination as the package did it before the integer kernel: the
+# reference the integer rref and determinant are held to.
+def reference_rref(m):
+    rows = [list(r) for r in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = QQ(1) / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return Matrix(nrows, ncols, tuple(tuple(row) for row in rows)), tuple(pivots)
+
+
+def reference_determinant(m):
+    rows = [list(r) for r in m.entries]
+    n = m.rows
+    det = QQ(1)
+    for c in range(n):
+        pivot_row = None
+        for i in range(c, n):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            return QQ(0)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            det = -det
+        det *= rows[c][c]
+        inv = QQ(1) / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+rationals = st.builds(QQ, st.integers(-10**6, 10**6), st.integers(1, 10**3))
+mostly_zero = st.one_of(st.just(QQ(0)), st.just(QQ(0)), st.just(QQ(0)), rationals)
+
+
+@st.composite
+def rational_systems(draw):
+    """A rational matrix with mostly-zero, duplicated and dependent rows
+    (0 x k and k x 0 shapes included) and a right-hand side that is
+    consistent about half the time."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    data = [draw(st.lists(st.one_of(rationals, mostly_zero), min_size=cols, max_size=cols))
+            for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        s, t = draw(rationals), draw(st.sampled_from([QQ(0), QQ(1), QQ(-3, 7)]))
+        dependent = [s * x + t * y for x, y in zip(data[a], data[b])]
+        data.insert(draw(st.integers(0, len(data))), dependent)
+        data.insert(draw(st.integers(0, len(data))), list(data[a]))
+    m = Matrix(len(data), cols, tuple(tuple(r) for r in data))
+    if draw(st.booleans()):
+        rhs = m.apply(tuple(draw(st.lists(rationals, min_size=cols, max_size=cols))))
+    else:
+        rhs = tuple(draw(st.lists(mostly_zero, min_size=m.rows, max_size=m.rows)))
+    return m, rhs
+
+
+def elimination_results(m, rhs):
+    # read through the module, so that patching linalg.rref reaches all of them
+    return {
+        "rref": linalg.rref(m),
+        "kernel": linalg.kernel_basis(m),
+        "image": linalg.image_basis(m),
+        "solve": linalg.solve(m, rhs),
+        "rank": linalg.rank(m),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_systems())
+def test_integer_elimination_matches_rational_reference(system):
+    m, rhs = system
+    got = elimination_results(m, rhs)
+    with mock.patch.object(linalg, "rref", reference_rref):
+        expected = elimination_results(m, rhs)
+    assert got == expected
+    k = min(m.rows, m.cols)
+    square = Matrix(k, k, tuple(r[:k] for r in m.entries[:k]))
+    det = determinant(square)
+    assert det == reference_determinant(square)
+    scalar = type(QQ(0))
+    values = [x for row in got["rref"][0].entries for x in row]
+    values += [x for space in ("kernel", "image") for v in got[space].basis for x in v]
+    values += list(got["solve"] or ()) + [det]
+    assert all(type(x) is scalar for x in values)
 
 
 def test_rref_identity():
