@@ -204,11 +204,9 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
     Pivot choice is leftmost column, topmost nonzero row, so the result is
     the unique RREF and the computation is reproducible bit for bit.
-    Elimination runs on integer rows: each row is cleared of denominators,
-    a non-pivot row becomes ``p*row - f*pivot_row`` divided by its gcd, and
-    each pivot row is divided by its pivot once at the end.  Every
-    intermediate row is a nonzero multiple of the rational one, so the pivots
-    and the output are those of rational elimination.
+    Elimination runs on integer rows (``p*row - f*pivot_row`` over its gcd),
+    each a nonzero multiple of the rational elimination's row, and divides
+    each pivot row by its pivot once at the end: the same pivots and output.
     """
     rows = [_integer_row(r)[0] for r in m.entries]
     nrows, ncols = m.rows, m.cols
