@@ -14,6 +14,7 @@ is fully symmetric because the bracket is).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Optional
 
 from .linalg import (
@@ -108,17 +109,34 @@ class Algebra:
         return all(vec_is_zero(self.bracket_tensor[i][j]) for i in range(self.dim) for j in range(i, self.dim))
 
 
+def _per_object(fn):
+    """fn(x) computed once per object x and kept in ``x.__dict__``, for the
+    frozen ``Algebra`` and ``Representation``, whose ``__eq__``, ``__hash__``
+    and repr read only their fields.  Every caller shares the (immutable)
+    result, and it lives as long as x."""
+    key = "_memo_" + fn.__name__
+
+    @wraps(fn)
+    def memo(x):
+        if key not in x.__dict__:
+            x.__dict__[key] = fn(x)
+        return x.__dict__[key]
+
+    return memo
+
+
+@_per_object
 def _structure_tables(a: Algebra) -> tuple:
-    """Sparse views of the structure constants, built for one operator
-    evaluation: ``(c, alpha_cols, alpha_br)`` with ``c[i][j]`` the nonzero
+    """Sparse views of the structure constants, built once per algebra:
+    ``(c, alpha_cols, alpha_br)`` with ``c[i][j]`` the nonzero
     ``(k, c_ij^k)``, ``alpha_cols[k]`` the nonzero ``(u, alpha_uk)`` and
     ``alpha_br[k][t]`` the nonzero coordinates ``(u, x)`` of
     ``[alpha(e_k), e_t]``.  Operators sum over these entries only."""
     r = range(a.dim)
-    c = [[_nonzero(a.bracket_tensor[i][j]) for j in r] for i in r]
-    alpha_cols = [_nonzero(a.alpha.column(k)) for k in r]
+    c = tuple(tuple(_nonzero(a.bracket_tensor[i][j]) for j in r) for i in r)
+    alpha_cols = tuple(_nonzero(a.alpha.column(k)) for k in r)
     # [alpha(e_k), e_t] = sum_u alpha_uk [e_t, e_u]: the bracket is symmetric
-    alpha_br = [[_nonzero(_combine(a.dim, alpha_cols[k], c[t])) for t in r] for k in r]
+    alpha_br = tuple(tuple(_nonzero(_combine(a.dim, alpha_cols[k], c[t])) for t in r) for k in r)
     return c, alpha_cols, alpha_br
 
 

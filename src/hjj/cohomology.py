@@ -20,6 +20,12 @@ Each of d1, d2, dc2 and dr2 is one exact matrix on these coordinates, built
 by summing over the nonzero structure constants (``_structure_tables``) and
 the nonzero entries of rho and beta.  The public operators apply it to a
 cochain's coordinates; compute_H2 takes its kernel and image.
+
+d2 f is fully symmetric, so the d2 matrix has rows for the sorted triples
+only: row ``t*m + p`` is the p-th coordinate of d2 f(e_i, e_j, e_k) at the
+t-th triple i <= j <= k in lexicographic order (``_triples``); the public
+``d2`` expands its image to the Cochain3 layout by symmetry.  The d1 and d2
+matrices and C1 are built once per representation (``_per_object``).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
-from .algebra import Algebra, _structure_tables
+from .algebra import Algebra, _per_object, _structure_tables
 from .errors import InvalidRepresentation, NotACochain
 from .linalg import (
     Matrix,
@@ -54,6 +60,11 @@ def pairs(n: int) -> list:
 
 def pair_index(n: int) -> dict:
     return {p: idx for idx, p in enumerate(pairs(n))}
+
+
+def _triples(n: int) -> list:
+    """The sorted triples i <= j <= k, in lexicographic order."""
+    return list(combinations_with_replacement(range(n), 3))
 
 
 def _pair_positions(n: int) -> dict:
@@ -166,7 +177,7 @@ class Cochain2:
         entries of alpha."""
         a, m = self.rep.algebra, self.rep.vdim
         pos = _pair_positions(a.dim)
-        alpha_cols = [[(u, x) for u, x in enumerate(a.alpha.column(i)) if x] for i in range(a.dim)]
+        _, alpha_cols, _ = _structure_tables(a)
         out = list(zero_vector(len(self.coords)))
         for pair, (i, j) in enumerate(pairs(a.dim)):
             for u, x in alpha_cols[i]:
@@ -318,6 +329,7 @@ def scalar3_sym12_to_vector(f: ScalarForm) -> Vector:
 # ---------------------------------------------------------------------------
 
 
+@_per_object
 def cochain1_space(rep: Representation) -> Subspace:
     """{f linear : f o alpha = beta o f} inside QQ^(m*n): row j*m + p of
     the constraint is (f(alpha e_j) - beta f(e_j))_p."""
@@ -420,6 +432,7 @@ def _add_term(block: list, col: int, entries: list, w):
         block[p][col + q] += w * x
 
 
+@_per_object
 def _d1_matrix(rep: Representation) -> Matrix:
     """d1 from 1-cochain coordinates to 2-cochain coordinates."""
     a, m = rep.algebra, rep.vdim
@@ -437,24 +450,24 @@ def _d1_matrix(rep: Representation) -> Matrix:
     return Matrix.from_rows(rows)
 
 
+@_per_object
 def _d2_matrix(rep: Representation) -> Matrix:
-    """d2 from 2-cochain coordinates to 3-cochain coordinates."""
+    """d2 from 2-cochain coordinates to its values at the sorted triples."""
     a, m = rep.algebra, rep.vdim
     n = a.dim
     c, alpha_cols, _ = _structure_tables(a)
     pos = _pair_positions(n)
     eye, rho = _entries(Matrix.identity(m)), [_entries(r) for r in rep.rho]
-    npairs = len(pairs(n))
-    rows = [[ZERO] * (npairs * m) for _ in range(npairs * n * m)]
-    for pair, (i, j) in enumerate(pairs(n)):
-        for k in range(n):
-            block = rows[(pair * n + k) * m:(pair * n + k + 1) * m]
-            for x, y, z in ((i, j, k), (j, i, k), (k, i, j)):
-                # f(alpha e_x, [e_y, e_z]) + rho(alpha e_x) f(e_y, e_z)
-                for u, au in alpha_cols[x]:
-                    for s, w in c[y][z]:
-                        _add_term(block, pos[u, s] * m, eye, au * w)
-                    _add_term(block, pos[y, z] * m, rho[u], au)
+    triples = _triples(n)
+    rows = [[ZERO] * (len(pairs(n)) * m) for _ in range(len(triples) * m)]
+    for t, (i, j, k) in enumerate(triples):
+        block = rows[t * m:(t + 1) * m]
+        for x, y, z in ((i, j, k), (j, i, k), (k, i, j)):
+            # f(alpha e_x, [e_y, e_z]) + rho(alpha e_x) f(e_y, e_z)
+            for u, au in alpha_cols[x]:
+                for s, w in c[y][z]:
+                    _add_term(block, pos[u, s] * m, eye, au * w)
+                _add_term(block, pos[y, z] * m, rho[u], au)
     return Matrix.from_rows(rows)
 
 
@@ -514,7 +527,11 @@ def d2(f: Cochain2) -> Cochain3:
     fully symmetric by construction."""
     if not f.is_compatible():
         raise NotACochain("d2 argument violates beta o f = f o alpha")
-    return Cochain3(f.rep, _d2_matrix(f.rep).apply(f.to_vector()))
+    n, m = f.rep.algebra.dim, f.rep.vdim
+    image = _d2_matrix(f.rep).apply(f.coords)
+    tpos = {t: idx * m for idx, t in enumerate(_triples(n))}
+    starts = [tpos[tuple(sorted((i, j, k)))] for i, j in pairs(n) for k in range(n)]
+    return Cochain3(f.rep, tuple(image[s + p] for s in starts for p in range(m)))
 
 
 def dc2(f: Cochain2) -> Cochain3:
@@ -605,20 +622,10 @@ def compute_H2(rep: Representation) -> H2Result:
     """
     if not check_representation(rep).passed:
         raise InvalidRepresentation("compute_H2 requires a valid representation")
-    n, m = rep.algebra.dim, rep.vdim
-    ambient = len(pairs(n)) * m
     c2 = cochain2_space(rep)
     c2_cols = c2.matrix().transpose()
-    # d2 f is fully symmetric, so the rows of the sorted triples i <= j <= k suffice
-    d2m = _d2_matrix(rep)
-    sorted_rows = tuple(
-        d2m.entries[(pair * n + k) * m + p]
-        for pair, (i, j) in enumerate(pairs(n))
-        for k in range(j, n)
-        for p in range(m)
-    )
-    z2_coeffs = kernel_basis(Matrix(len(sorted_rows), d2m.cols, sorted_rows) @ c2_cols)
-    z2 = Subspace.from_spanning(ambient, [c2_cols.apply(u) for u in z2_coeffs.basis])
+    z2_coeffs = kernel_basis(_d2_matrix(rep) @ c2_cols)
+    z2 = Subspace.from_spanning(c2.ambient_dim, [c2_cols.apply(u) for u in z2_coeffs.basis])
     b2 = image_basis(_d1_matrix(rep) @ cochain1_space(rep).matrix().transpose())
     h2_dim, reps_vectors = quotient_dim(z2, b2)
     representatives = tuple(Cochain2.from_vector(rep, v) for v in reps_vectors)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra, LinearMapBetweenAlgebras
-from .cohomology import Cochain1, Cochain2, Cochain3, _d1_matrix, _d2_matrix, cochain1_space, d1
+from .cohomology import Cochain1, Cochain2, _d1_matrix, _d2_matrix, _triples, cochain1_space, d1
 from .errors import InvalidCocycle, InvalidRepresentation, NotACochain
 from .linalg import Matrix, Subspace, solve, zero_vector
 from .representations import Representation, check_representation
@@ -42,16 +42,11 @@ class ExtensionSpec:
             raise InvalidRepresentation("extension spec: representation laws fail")
         if not self.cocycle.is_compatible():
             raise NotACochain("extension spec: theta violates beta o theta = theta o alpha")
-        image = Cochain3(self.rep, _d2_matrix(self.rep).apply(self.cocycle.coords))
-        n = self.base.dim
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    v = image.value(i, j, k)
-                    if any(x != 0 for x in v):
-                        raise InvalidCocycle(
-                            "extension spec: d2(theta) != 0", triple=(i, j, k), residual=v
-                        )
+        image, m = _d2_matrix(self.rep).apply(self.cocycle.coords), self.rep.vdim
+        for t, triple in enumerate(_triples(self.base.dim)):
+            v = image[t * m:(t + 1) * m]
+            if any(x != 0 for x in v):
+                raise InvalidCocycle("extension spec: d2(theta) != 0", triple=triple, residual=v)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import TYPE_CHECKING
 
-from .algebra import Algebra, _combine, _nonzero, _structure_tables
+from .algebra import Algebra, _combine, _nonzero, _per_object, _structure_tables
 from .errors import DegenerateForm, UnsupportedSystem
 from .linalg import Matrix, Vector, bilinear, determinant, vec_add, vec_is_zero
 from .reports import CheckReport, Violation
@@ -73,10 +73,12 @@ class QuadraticRepresentation:
         return bilinear(self.form, v, w)
 
 
+@_per_object
 def check_representation(r: Representation) -> CheckReport:
     """Both representation laws, with exact matrix residuals, from the
-    structure tables: rho(alpha(e_i)) is built once per i from the twist
-    columns and rho([e_i, e_j]) from the nonzero c_ij^s."""
+    structure tables, once per representation object: rho(alpha(e_i)) is
+    built once per i from the twist columns and rho([e_i, e_j]) from the
+    nonzero c_ij^s."""
     violations = []
     a, m = r.algebra, r.vdim
     n = a.dim

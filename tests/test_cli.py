@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import hjj.cli
+
 from hjj import QQ, Matrix
 from hjj.catalog import instantiate
 from hjj.cli import main
@@ -289,3 +291,16 @@ def test_usage_errors_exit2(files, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HJJ_GRID", "x")
     code, _, err = run(capsys, "classify", "--dim", "2")
     assert code == 2 and "field HJJ_GRID" in err and "Traceback" not in err
+
+
+def test_internal_error_exit3(files, capsys, monkeypatch):
+    """Any other exception is one stderr line with exit 3, never a traceback."""
+
+    def boom(args):
+        raise RuntimeError("stage failed\nsecond line")
+
+    monkeypatch.setattr(hjj.cli, "cmd_verify", boom)
+    code, out, err = run(capsys, "verify", files["algebra.json"])
+    assert code == 3 and out == ""
+    assert err == "error: internal error: RuntimeError: stage failed second line\n"
+    assert "Traceback" not in err

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from hjj import QQ, Matrix
-from hjj.algebra import Algebra, check_hom_jacobi, check_multiplicative
+from hjj.algebra import Algebra, _structure_tables, check_hom_jacobi, check_multiplicative
 from hjj.catalog import instantiate
 from hjj.cohomology import (
     Cochain1,
@@ -27,6 +27,15 @@ from hjj.cohomology import (
     in_c2r,
     in_c3r,
     pairs,
+)
+from hjj.documents import (
+    algebra_from_payload,
+    algebra_to_payload,
+    emit_document,
+    make_document,
+    parse_document,
+    representation_from_payload,
+    representation_to_payload,
 )
 from hjj.errors import InvalidRepresentation, NotACochain
 from hjj.linalg import determinant, vec_add, vec_sub
@@ -247,11 +256,19 @@ def _dense_rho(rep, x):
     return reduce(Matrix.__add__, (r.scale(xi) for r, xi in zip(rep.rho, x)), Matrix.zero(m, m))
 
 
+def _d2_formula(br, rho, fv, x, y, z, ax, ay, az):
+    """d2 f(x, y, z) from its defining formula."""
+    return reduce(vec_add, (
+        fv(ax, br(y, z)), fv(ay, br(x, z)), fv(az, br(x, y)),
+        rho(ax).apply(fv(y, z)), rho(ay).apply(fv(x, z)), rho(az).apply(fv(x, y)),
+    ))
+
+
 def test_operator_matrices_match_defining_formulas():
     """Every column of the d1, d2, dc2 and dr2 matrices against the defining
     formula, evaluated with Algebra.bracket and dense loops on unit cochains
     and forms, for random algebras and random (not necessarily valid) rho and
-    beta."""
+    beta.  The d2 matrix has the rows of the sorted triples i <= j <= k."""
     rng = random.Random(43)
     for n, m in ((1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3)):
         a = rand_structure(rng, n)
@@ -262,6 +279,9 @@ def test_operator_matrices_match_defining_formulas():
         e = [a.basis_vector(i) for i in range(n)]
         ac = [a.alpha.column(i) for i in range(n)]
         triples = [(e[i], e[j], e[k], ac[i], ac[j], ac[k]) for (i, j), k in product(pairs(n), range(n))]
+        sorted_triples = [
+            (e[i], e[j], e[k], ac[i], ac[j], ac[k]) for i, j, k in combinations_with_replacement(range(n), 3)
+        ]
 
         d1m = _d1_matrix(rep)
         assert d1m.cols == n * m
@@ -275,14 +295,12 @@ def test_operator_matrices_match_defining_formulas():
 
         d2m, dc2m = _d2_matrix(rep), _dc2_matrix(rep)
         assert d2m.cols == dc2m.cols == len(pairs(n)) * m
+        assert d2m.rows == len(sorted_triples) * m
         for col in range(d2m.cols):
             fv = Cochain2.from_vector(rep, _unit(d2m.cols, col)).value_vec
-            d2_expected, dc2_expected = (), ()
+            d2_expected = sum((_d2_formula(br, rho, fv, *args) for args in sorted_triples), ())
+            dc2_expected = ()
             for x, y, z, ax, ay, az in triples:
-                d2_expected += reduce(vec_add, (
-                    fv(ax, br(y, z)), fv(ay, br(x, z)), fv(az, br(x, y)),
-                    rho(ax).apply(fv(y, z)), rho(ay).apply(fv(x, z)), rho(az).apply(fv(x, y)),
-                ))
                 dc2_expected += reduce(vec_add, (
                     fv(x, br(ay, z)), fv(y, br(ax, z)), beta(fv(z, br(x, y))),
                     rho(x).apply(fv(ay, z)), rho(y).apply(fv(ax, z)), beta(rho(z).apply(fv(x, y))),
@@ -299,6 +317,55 @@ def test_operator_matrices_match_defining_formulas():
                 for x, y, z, _, _, _ in triples
             )
             assert dr2m.column(col) == expected
+
+
+def test_public_d2_expands_every_pair_and_slot():
+    """The public d2 against the defining formula at every (pair, k),
+    including k < j, on unit cochains.  With alpha = I_n and beta = I_m
+    every 2-cochain is compatible, whatever the brackets and rho."""
+    rng = random.Random(53)
+    for n, m in ((1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)):
+        a = Algebra(n, rand_structure(rng, n).bracket_tensor, Matrix.identity(n))
+        rep = Representation(a, m, tuple(rand_matrix(rng, m, m) for _ in range(n)), Matrix.identity(m))
+        br, rho = a.bracket, partial(_dense_rho, rep)
+        e = [a.basis_vector(i) for i in range(n)]
+        size = len(pairs(n)) * m
+        for col in range(size):
+            f = Cochain2.from_vector(rep, _unit(size, col))
+            expected = ()
+            for (i, j), k in product(pairs(n), range(n)):
+                expected += _d2_formula(br, rho, f.value_vec, e[i], e[j], e[k], e[i], e[j], e[k])
+            assert d2(f).coords == expected
+
+
+def test_derived_data_is_kept_once_per_object():
+    """Structure tables, the representation check, C1 and the d1/d2 matrices
+    are computed once per Algebra / Representation object.  An equal object
+    parsed again from the same documents gets its own equal copy, and
+    equality, hashes and repr read the same before and after."""
+    a, rep = random_pair(random.Random(59))
+    documents = [
+        emit_document(make_document("algebra", algebra_to_payload(a))),
+        emit_document(make_document("representation", representation_to_payload(rep))),
+    ]
+
+    def parse():
+        algebra = algebra_from_payload(parse_document(documents[0]).payload)
+        return representation_from_payload(parse_document(documents[1]).payload, algebra)
+
+    first, second = parse(), parse()
+    before = (first == second, hash(first), hash(second), hash(first.algebra), repr(first))
+    derived = (_d1_matrix, _d2_matrix, check_representation, cochain1_space)
+    for fn in derived:
+        assert fn(first) is fn(first)
+    assert _structure_tables(first.algebra) is _structure_tables(first.algebra)
+    assert (first == second, hash(first), hash(second), hash(first.algebra), repr(first)) == before
+    assert before[0] and before[1] == before[2]
+    for fn in derived:
+        assert fn(second) == fn(first) and fn(second) is not fn(first)
+    assert _structure_tables(second.algebra) == _structure_tables(first.algebra)
+    assert _structure_tables(second.algebra) is not _structure_tables(first.algebra)
+    assert (first == second, hash(first), hash(second), hash(first.algebra), repr(first)) == before
 
 
 def _flat(mat):

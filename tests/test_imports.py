@@ -1,6 +1,9 @@
 """Import hygiene: no module of the package imports a name it never uses,
 so a deleted function or evaluation path leaves no stale import behind.
-``__init__.py`` is left out: its imports are the package exports."""
+``__init__.py`` is left out: its imports are the package exports.
+
+No module memoizes with ``functools``: derived data is kept on the object
+it derives from by ``algebra._per_object``, the package's one memo."""
 
 import ast
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hjj"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+FUNCTOOLS_MEMOS = {"lru_cache", "cache", "cached_property"}
 
 
 def _imported(tree: ast.Module):
@@ -65,3 +69,30 @@ def test_string_annotation_counts_as_use():
     )
     assert {name for name, _ in _imported(tree)} <= _used(tree)
     assert "Cochain2" not in _used(ast.parse("from .cohomology import Cochain2\nx = 'Cochain2'\n"))
+
+
+def _functools_memos(tree: ast.Module) -> list:
+    """(name, line) of every functools memo the module imports or reads."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(alias.name, node.lineno) for alias in node.names if alias.name in FUNCTOOLS_MEMOS]
+        elif isinstance(node, ast.Attribute) and node.attr in FUNCTOOLS_MEMOS:
+            found.append((node.attr, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_functools_memo(path):
+    found = _functools_memos(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} memoizes with functools: {found}"
+
+
+def test_functools_memo_rule_sees_every_spelling():
+    for source in (
+        "from functools import lru_cache\n",
+        "import functools\n@functools.cache\ndef f(x): ...\n",
+        "from functools import cached_property as cp\n",
+    ):
+        assert _functools_memos(ast.parse(source))
+    assert not _functools_memos(ast.parse("from functools import reduce, wraps\n"))
