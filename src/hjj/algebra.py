@@ -22,6 +22,7 @@ from .linalg import (
     Subspace,
     Vector,
     charpoly,
+    image_basis,
     invert,
     kernel_basis,
     minpoly,
@@ -34,7 +35,7 @@ from .linalg import (
     zero_vector,
 )
 from .reports import CheckReport, Violation
-from .scalars import QQ, ZERO
+from .scalars import QQ, ZERO, format_scalar
 
 
 @dataclass(frozen=True)
@@ -235,9 +236,8 @@ def derived_series(a: Algebra) -> list:
         nxt = Subspace.from_spanning(a.dim, spanning)
         series.append(nxt)
         if nxt.dim == series[-2].dim:
-            # stabilised; drop the duplicate unless the series was constant
-            if len(series) > 1 and series[-1].dim == series[-2].dim:
-                series.pop()
+            # stabilised; drop the duplicate
+            series.pop()
             break
         if nxt.dim == 0:
             break
@@ -341,8 +341,6 @@ class Invariants:
     eigen_profile: tuple
 
     def describe(self) -> str:
-        from .scalars import format_scalar
-
         cp = ", ".join(format_scalar(c) for c in self.alpha_charpoly)
         mp = ", ".join(format_scalar(c) for c in self.alpha_minpoly)
         eig = "; ".join(
@@ -373,8 +371,6 @@ def isomorphism_invariants(a: Algebra) -> Invariants:
         bracket_span = Subspace.from_spanning(
             n, [a.bracket(u, v) for bi, u in enumerate(eb) for v in eb[bi:]]
         )
-        from .linalg import image_basis
-
         shifted_image = image_basis(shifted)
         profile.append(
             (

@@ -25,8 +25,8 @@ from .errors import MissingParameter, UnknownEntry
 from .extensions import ExtensionSpec, build_extension
 from .linalg import Matrix, vec_add, vec_scale
 from .reports import CheckReport
-from .representations import Representation, solve_representations_dim1
-from .scalars import ONE, QQ, ZERO
+from .representations import Representation, a2zero_candidates, check_representation, solve_representations_dim1
+from .scalars import ONE, QQ, ZERO, format_scalar
 
 DEFAULT_GRID = (QQ(-2), QQ(-1), QQ(1), QQ(2), QQ(3), QQ(1, 2))
 
@@ -396,8 +396,6 @@ class EntryReport:
         return self.hom_jacobi.passed and self.multiplicative.passed and self.regular
 
     def describe(self) -> str:
-        from .scalars import format_scalar
-
         shown = ", ".join(f"{k}={format_scalar(v)}" for k, v in sorted(self.params.items()))
         lines = [f"{self.name} at ({shown})"]
         lines.append(self.hom_jacobi.describe())
@@ -652,8 +650,6 @@ def _classify3_vdim2(grid) -> list:
     must square to zero; the compatibility between the action twist and the
     module twist pins a = 1 for a nonzero action (the same a^3 - a^2
     obstruction the catalog records for the J^10/J^11 bullets)."""
-    from .representations import a2zero_candidates, check_representation
-
     outputs = []
     base = _abelian1(ONE)
     beta = Matrix.diagonal([ONE, ONE])

@@ -16,6 +16,23 @@ Coordinate conventions (fixed so matrices are reproducible bit for bit):
 * scalar trilinear forms symmetric in their first two slots also live in
   QQ^(npairs*n) with index ``pair*n + t`` (the sym12 coordinates).
 
+The twist f |-> f o (alpha x alpha) of a function of one pair is the
+npairs x npairs pair-twist matrix T (``_pair_twist``): row pair(i, j) holds
+alpha_ki * alpha_lj in column pair(k, l), so (T f)(i, j) = f(alpha e_i,
+alpha e_j).  Each compatibility space is the kernel of one Kronecker
+difference ``X (x) I - I (x) Y`` (``_twist_constraint``), X the twist on a
+cochain's arguments and Y the twist on its values; the constraint's rows
+follow the space's coordinates:
+
+* C1 = ker(alpha^T (x) I_m - I_n (x) beta): row j*m + p is
+  (f(alpha e_j) - beta f(e_j))_p;
+* C2 = ker(T (x) I_m - I_npairs (x) beta): row pair*m + p is
+  (f(alpha e_i, alpha e_j) - beta f(e_i, e_j))_p;
+* C2_r = ker(alpha^T (x) I_n - I_n (x) alpha^T): row i*n + j is
+  f(alpha e_i, e_j) - f(e_i, alpha e_j);
+* C3_r = ker(T (x) I_n - I_npairs (x) alpha^T): row pair*n + t is
+  g(alpha e_i, alpha e_j, e_t) - g(e_i, e_j, alpha e_t).
+
 Each of d1, d2, dc2 and dr2 is one exact matrix on these coordinates, built
 by summing over the nonzero structure constants (``_structure_tables``) and
 the nonzero entries of rho and beta.  The public operators apply it to a
@@ -25,7 +42,8 @@ d2 f is fully symmetric, so the d2 matrix has rows for the sorted triples
 only: row ``t*m + p`` is the p-th coordinate of d2 f(e_i, e_j, e_k) at the
 t-th triple i <= j <= k in lexicographic order (``_triples``); the public
 ``d2`` expands its image to the Cochain3 layout by symmetry.  The d1 and d2
-matrices and C1 are built once per representation (``_per_object``).
+matrices, C1 and the C2 constraint are built once per representation, and
+T once per algebra (``_per_object``).
 """
 
 from __future__ import annotations
@@ -58,19 +76,42 @@ def pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def pair_index(n: int) -> dict:
-    return {p: idx for idx, p in enumerate(pairs(n))}
-
-
 def _triples(n: int) -> list:
     """The sorted triples i <= j <= k, in lexicographic order."""
     return list(combinations_with_replacement(range(n), 3))
 
 
 def _pair_positions(n: int) -> dict:
-    """pair_index keyed by both orders (x, y) and (y, x) of each pair."""
-    pidx = pair_index(n)
-    return {(x, y): pidx[(min(x, y), max(x, y))] for x in range(n) for y in range(n)}
+    """The index of each pair in ``pairs(n)``, keyed by both orders (i, j)
+    and (j, i)."""
+    return {(x, y): idx for idx, (i, j) in enumerate(pairs(n)) for x, y in ((i, j), (j, i))}
+
+
+@_per_object
+def _pair_twist(a: Algebra) -> Matrix:
+    """The pair-twist matrix T of f |-> f o (alpha x alpha) on pair
+    coordinates (see the module docstring)."""
+    n = a.dim
+    _, alpha_cols, _ = _structure_tables(a)
+    pos = _pair_positions(n)
+    rows = [[ZERO] * len(pairs(n)) for _ in pairs(n)]
+    for pair, (i, j) in enumerate(pairs(n)):
+        for k, x in alpha_cols[i]:
+            for l, y in alpha_cols[j]:
+                rows[pair][pos[k, l]] += x * y
+    return Matrix.from_rows(rows)
+
+
+def _twist_constraint(x: Matrix, y: Matrix) -> Matrix:
+    """X (x) I - I (x) Y: the compatibility constraint of a cochain space
+    (see the module docstring)."""
+    return kron(x, Matrix.identity(y.rows)) - kron(Matrix.identity(x.rows), y)
+
+
+@_per_object
+def _c2_constraint(rep: Representation) -> Matrix:
+    """The constraint of C2, with rows ``pair*m + p``."""
+    return _twist_constraint(_pair_twist(rep.algebra), rep.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +208,12 @@ class Cochain2:
 
     def is_compatible(self) -> bool:
         """beta o f = f o (alpha x alpha)."""
-        n, m = self.rep.algebra.dim, self.rep.vdim
-        twisted = self.twist_arguments().coords
-        blocks = [slice(pair * m, (pair + 1) * m) for pair in range(len(pairs(n)))]
-        return all(self.rep.beta.apply(self.coords[b]) == twisted[b] for b in blocks)
+        return vec_is_zero(_c2_constraint(self.rep).apply(self.coords))
 
     def twist_arguments(self) -> "Cochain2":
-        """f o alpha: (x, y) |-> f(alpha x, alpha y), summed over the nonzero
-        entries of alpha."""
-        a, m = self.rep.algebra, self.rep.vdim
-        pos = _pair_positions(a.dim)
-        _, alpha_cols, _ = _structure_tables(a)
-        out = list(zero_vector(len(self.coords)))
-        for pair, (i, j) in enumerate(pairs(a.dim)):
-            for u, x in alpha_cols[i]:
-                for v, y in alpha_cols[j]:
-                    src, w = pos[u, v] * m, x * y
-                    for p, c in enumerate(self.coords[src:src + m]):
-                        if c:
-                            out[pair * m + p] += w * c
-        return Cochain2(self.rep, tuple(out))
+        """f o alpha: (x, y) |-> f(alpha x, alpha y)."""
+        twist = kron(_pair_twist(self.rep.algebra), Matrix.identity(self.rep.vdim))
+        return Cochain2(self.rep, twist.apply(self.coords))
 
     def __add__(self, other: "Cochain2") -> "Cochain2":
         return Cochain2(self.rep, vec_add(self.coords, other.coords))
@@ -331,80 +358,27 @@ def scalar3_sym12_to_vector(f: ScalarForm) -> Vector:
 
 @_per_object
 def cochain1_space(rep: Representation) -> Subspace:
-    """{f linear : f o alpha = beta o f} inside QQ^(m*n): row j*m + p of
-    the constraint is (f(alpha e_j) - beta f(e_j))_p."""
-    at, n, m = rep.algebra.alpha.transpose(), rep.algebra.dim, rep.vdim
-    return kernel_basis(kron(at, Matrix.identity(m)) - kron(Matrix.identity(n), rep.beta))
+    """{f linear : f o alpha = beta o f} inside QQ^(m*n)."""
+    return kernel_basis(_twist_constraint(rep.algebra.alpha.transpose(), rep.beta))
 
 
 def cochain2_space(rep: Representation) -> Subspace:
     """{f in S^2(J, V) : beta o f = f o (alpha x alpha)} inside
-    QQ^(npairs*m); the constraint is imposed on basis pairs, sufficient by
-    bilinearity."""
-    a, m = rep.algebra, rep.vdim
-    n = a.dim
-    plist = pairs(n)
-    pidx = pair_index(n)
-    dim_amb = len(plist) * m
-    rows = []
-    for i, j in plist:
-        for p in range(m):
-            row = [ZERO] * dim_amb
-            # beta(f(e_i, e_j))_p
-            base = pidx[(i, j)] * m
-            for q in range(m):
-                c = rep.beta.entry(p, q)
-                if c != 0:
-                    row[base + q] += c
-            # - f(alpha e_i, alpha e_j)_p
-            for k in range(n):
-                aki = a.alpha.entry(k, i)
-                if aki == 0:
-                    continue
-                for l in range(n):
-                    alj = a.alpha.entry(l, j)
-                    if alj == 0:
-                        continue
-                    row[pidx[(min(k, l), max(k, l))] * m + p] -= aki * alj
-            rows.append(tuple(row))
-    return kernel_basis(Matrix(len(rows), dim_amb, tuple(rows)))
+    QQ^(npairs*m), imposed on basis pairs (sufficient by bilinearity)."""
+    return kernel_basis(_c2_constraint(rep))
 
 
 def c2r_space(a: Algebra) -> Subspace:
     """Bilinear scalar forms with the dual-twist compatibility
-    f(alpha x, y) = f(x, alpha y), inside QQ^(n*n): row i*n + j of the
-    constraint is f(alpha e_i, e_j) - f(e_i, alpha e_j)."""
+    f(alpha x, y) = f(x, alpha y), inside QQ^(n*n)."""
     at = a.alpha.transpose()
-    return kernel_basis(kron(at, Matrix.identity(a.dim)) - kron(Matrix.identity(a.dim), at))
+    return kernel_basis(_twist_constraint(at, at))
 
 
 def c3r_space(a: Algebra) -> Subspace:
     """Trilinear scalar forms, symmetric in the first two slots, with
-    f(alpha x, alpha y, z) = f(x, y, alpha z); coordinates over
-    (pair, third-slot) as documented at module top."""
-    n = a.dim
-    plist = pairs(n)
-    pidx = pair_index(n)
-    dim_amb = len(plist) * n
-    rows = []
-    for i, j in plist:
-        for t in range(n):
-            row = [ZERO] * dim_amb
-            for k in range(n):
-                aki = a.alpha.entry(k, i)
-                if aki == 0:
-                    continue
-                for l in range(n):
-                    alj = a.alpha.entry(l, j)
-                    if alj == 0:
-                        continue
-                    row[pidx[(min(k, l), max(k, l))] * n + t] += aki * alj
-            for s in range(n):
-                c = a.alpha.entry(s, t)
-                if c != 0:
-                    row[pidx[(i, j)] * n + s] -= c
-            rows.append(tuple(row))
-    return kernel_basis(Matrix(len(rows), dim_amb, tuple(rows)))
+    f(alpha x, alpha y, z) = f(x, y, alpha z), on the sym12 coordinates."""
+    return kernel_basis(_twist_constraint(_pair_twist(a), a.alpha.transpose()))
 
 
 def in_c2r(a: Algebra, f: ScalarForm) -> bool:

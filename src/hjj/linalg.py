@@ -40,7 +40,7 @@ def vec_add(u: Vector, v: Vector) -> Vector:
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(a - b if b else a for a, b in zip(u, v))
 
 
 def vec_scale(c, v: Vector) -> Vector:
@@ -179,7 +179,7 @@ class Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: entry (i*b.rows + p, j*b.cols + q) is a_ij b_pq."""
     return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(
-        tuple(x * y for x in ra for y in rb) for ra in a.entries for rb in b.entries
+        tuple(x * y if x and y else ZERO for x in ra for y in rb) for ra in a.entries for rb in b.entries
     ))
 
 

@@ -39,7 +39,6 @@ from .cohomology import (
     d2,
     dc2,
     dr2,
-    pair_index,
     pairs,
     scalar3_sym12_to_vector,
 )
@@ -261,12 +260,8 @@ def _gamma_matrix(a: Algebra) -> Matrix:
     coordinates (pair, t) of gamma."""
     n = a.dim
     c, alpha_cols, alpha_br = _structure_tables(a)
-    pidx = pair_index(n)
-    ncols = len(pidx) * n
-
-    def col(x, y, z):
-        return pidx[(min(x, y), max(x, y))] * n + z
-
+    pos = _pair_positions(n)
+    ncols = len(pairs(n)) * n
     rows = []
     for i, j, k in product(range(n), repeat=3):
         # dr3_rows[t]: the row (i, j, k, t) of d_r^3
@@ -276,9 +271,9 @@ def _gamma_matrix(a: Algebra) -> Matrix:
                 # g([e_p, e_q], alpha e_r, e_t) + g(e_p, e_q, [alpha e_r, e_t])
                 for s, x in c[p][q]:
                     for u, y in alpha_cols[r]:
-                        row[col(s, u, t)] += x * y
+                        row[pos[s, u] * n + t] += x * y
                 for u, x in alpha_br[r][t]:
-                    row[col(p, q, u)] += x
+                    row[pos[p, q] * n + u] += x
         for l in range(n):
             rows.append(
                 tuple(

@@ -27,8 +27,10 @@ from hjj.cohomology import (
     Cochain2,
     ScalarForm,
     c2r_space,
+    c3r_space,
     cochain1_space,
     cochain2_space,
+    pairs,
     scalar2_from_vector,
 )
 from hjj.linalg import bilinear, invert, vec_add, vec_scale, zero_vector
@@ -235,6 +237,20 @@ def random_cochain2(rng: random.Random, rep: Representation) -> Cochain2:
 
 def random_c2r_form(rng: random.Random, algebra: Algebra) -> ScalarForm:
     return scalar2_from_vector(algebra.dim, _random_member(rng, c2r_space(algebra)))
+
+
+def random_c3r_form(rng: random.Random, algebra: Algebra) -> ScalarForm:
+    return sym12_form(algebra.dim, _random_member(rng, c3r_space(algebra)))
+
+
+def sym12_form(n: int, v) -> ScalarForm:
+    """The trilinear form, symmetric in its first two slots, with the sym12
+    coordinates v (index ``pair*n + t``)."""
+    entries = {}
+    for idx, (i, j) in enumerate(pairs(n)):
+        for t in range(n):
+            entries[i, j, t] = entries[j, i, t] = v[idx * n + t]
+    return ScalarForm.from_entries(n, 3, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ from hjj.cohomology import (
     Cochain1,
     Cochain2,
     ScalarForm,
+    _c2_constraint,
     _d1_matrix,
     _d2_matrix,
     _dc2_matrix,
     _dr2_matrix,
+    _pair_twist,
     c3r_space,
     cochain1_space,
     cochain2_space,
@@ -51,8 +53,11 @@ from .gen import (
     rand_scalar,
     rand_structure,
     random_c2r_form,
+    random_c3r_form,
     random_cochain1,
+    random_cochain2,
     random_pair,
+    sym12_form,
 )
 from .oracles import BruteAlgebra, brute_h2_dims
 
@@ -256,6 +261,12 @@ def _dense_rho(rep, x):
     return reduce(Matrix.__add__, (r.scale(xi) for r, xi in zip(rep.rho, x)), Matrix.zero(m, m))
 
 
+def _fixing_e0(rng, k):
+    """A random k x k twist whose first column is e_0, so 1 is an eigenvalue."""
+    rows = [[QQ(int(i == 0)) if j == 0 else rand_scalar(rng) for j in range(k)] for i in range(k)]
+    return Matrix.from_rows(rows)
+
+
 def _d2_formula(br, rho, fv, x, y, z, ax, ay, az):
     """d2 f(x, y, z) from its defining formula."""
     return reduce(vec_add, (
@@ -268,8 +279,13 @@ def test_operator_matrices_match_defining_formulas():
     """Every column of the d1, d2, dc2 and dr2 matrices against the defining
     formula, evaluated with Algebra.bracket and dense loops on unit cochains
     and forms, for random algebras and random (not necessarily valid) rho and
-    beta.  The d2 matrix has the rows of the sorted triples i <= j <= k."""
+    beta.  The d2 matrix has the rows of the sorted triples i <= j <= k.
+    The pair twist and the C2 / C3_r constraints, read through
+    twist_arguments, is_compatible and in_c3r, against the dense twists on
+    unit 2-cochains and unit sym12 forms, and on one member of C2 and of
+    C3_r, also for twists alpha and beta that fix e_0."""
     rng = random.Random(43)
+    outcomes = {"C2": set(), "C3_r": set()}
     for n, m in ((1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3)):
         a = rand_structure(rng, n)
         rep = Representation(
@@ -318,6 +334,30 @@ def test_operator_matrices_match_defining_formulas():
             )
             assert dr2m.column(col) == expected
 
+        # the random twists leave C2 and C3_r zero; twists fixing e_0 give
+        # both spaces a nonzero member, so both outcomes of each check occur
+        a1 = Algebra(n, a.bracket_tensor, _fixing_e0(rng, n))
+        rep1 = Representation(a1, m, rep.rho, _fixing_e0(rng, m))
+        assert cochain2_space(rep1).dim and c3r_space(a1).dim
+        for r in (rep, rep1):
+            acs = [r.algebra.alpha.column(i) for i in range(n)]
+            size = len(pairs(n)) * m
+            for f in [Cochain2.from_vector(r, _unit(size, col)) for col in range(size)] + [random_cochain2(rng, r)]:
+                twisted = f.twist_arguments()
+                assert all(twisted.value(i, j) == f.value_vec(acs[i], acs[j]) for i, j in pairs(n))
+                compatible = all(r.beta.apply(f.value(i, j)) == f.value_vec(acs[i], acs[j]) for i, j in pairs(n))
+                assert f.is_compatible() == compatible
+                outcomes["C2"].add(compatible)
+            size = len(pairs(n)) * n
+            for g in [sym12_form(n, _unit(size, col)) for col in range(size)] + [random_c3r_form(rng, r.algebra)]:
+                expected = all(
+                    g.evaluate(acs[x], acs[y], e[z]) == g.evaluate(e[x], e[y], acs[z])
+                    for x, y, z in product(range(n), repeat=3)
+                )
+                assert in_c3r(r.algebra, g) == expected
+                outcomes["C3_r"].add(expected)
+    assert outcomes == {"C2": {True, False}, "C3_r": {True, False}}
+
 
 def test_public_d2_expands_every_pair_and_slot():
     """The public d2 against the defining formula at every (pair, k),
@@ -339,10 +379,11 @@ def test_public_d2_expands_every_pair_and_slot():
 
 
 def test_derived_data_is_kept_once_per_object():
-    """Structure tables, the representation check, C1 and the d1/d2 matrices
-    are computed once per Algebra / Representation object.  An equal object
-    parsed again from the same documents gets its own equal copy, and
-    equality, hashes and repr read the same before and after."""
+    """Structure tables, the pair twist, the representation check, C1, the C2
+    constraint and the d1/d2 matrices are computed once per Algebra /
+    Representation object.  An equal object parsed again from the same
+    documents gets its own equal copy, and equality, hashes and repr read
+    the same before and after."""
     a, rep = random_pair(random.Random(59))
     documents = [
         emit_document(make_document("algebra", algebra_to_payload(a))),
@@ -355,16 +396,17 @@ def test_derived_data_is_kept_once_per_object():
 
     first, second = parse(), parse()
     before = (first == second, hash(first), hash(second), hash(first.algebra), repr(first))
-    derived = (_d1_matrix, _d2_matrix, check_representation, cochain1_space)
+    derived = (_d1_matrix, _d2_matrix, check_representation, cochain1_space, _c2_constraint)
     for fn in derived:
         assert fn(first) is fn(first)
-    assert _structure_tables(first.algebra) is _structure_tables(first.algebra)
+    for fn in (_structure_tables, _pair_twist):
+        assert fn(first.algebra) is fn(first.algebra)
     assert (first == second, hash(first), hash(second), hash(first.algebra), repr(first)) == before
     assert before[0] and before[1] == before[2]
     for fn in derived:
         assert fn(second) == fn(first) and fn(second) is not fn(first)
-    assert _structure_tables(second.algebra) == _structure_tables(first.algebra)
-    assert _structure_tables(second.algebra) is not _structure_tables(first.algebra)
+    for fn in (_structure_tables, _pair_twist):
+        assert fn(second.algebra) == fn(first.algebra) and fn(second.algebra) is not fn(first.algebra)
     assert (first == second, hash(first), hash(second), hash(first.algebra), repr(first)) == before
 
 

@@ -1,6 +1,7 @@
 """Import hygiene: no module of the package imports a name it never uses,
 so a deleted function or evaluation path leaves no stale import behind.
-``__init__.py`` is left out: its imports are the package exports.
+``__init__.py`` is left out: its imports are the package exports.  Every
+import is made at module level, none inside a function or class body.
 
 No module memoizes with ``functools``: derived data is kept on the object
 it derives from by ``algebra._per_object``, the package's one memo."""
@@ -96,3 +97,35 @@ def test_functools_memo_rule_sees_every_spelling():
     ):
         assert _functools_memos(ast.parse(source))
     assert not _functools_memos(ast.parse("from functools import reduce, wraps\n"))
+
+
+def _nested_imports(tree: ast.Module) -> list:
+    """The lines of every import inside a function or class body."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted({
+        node.lineno
+        for scope in ast.walk(tree) if isinstance(scope, scopes)
+        for node in ast.walk(scope) if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    found = _nested_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} imports inside a function or class body at lines {found}"
+
+
+def test_nested_import_rule_sees_every_body():
+    for source in (
+        "def f():\n    from .scalars import format_scalar\n",
+        "async def f():\n    import os\n",
+        "class C:\n    import os\n",
+        "class C:\n    def describe(self):\n        if True:\n            from .linalg import rank\n",
+    ):
+        assert _nested_imports(ast.parse(source))
+    assert not _nested_imports(ast.parse(
+        "import os\nfrom typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    from .cohomology import Cochain2\n"
+        "try:\n    from gmpy2 import mpq\nexcept ImportError:\n    pass\n"
+        "def f():\n    return os\n"
+    ))
