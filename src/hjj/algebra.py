@@ -21,13 +21,14 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _kernel_vectors,
     charpoly,
-    image_basis,
     invert,
     kernel_basis,
     minpoly,
     rank,
     rational_roots,
+    rref,
     vec,
     vec_add,
     vec_is_zero,
@@ -354,32 +355,36 @@ class Invariants:
         )
 
 
+def _meet_dim(u: list, w: list) -> int:
+    """dim(span u cap span w) for linearly independent lists u and w."""
+    if not u or not w:
+        return 0
+    return len(u) + len(w) - rank(Matrix.from_rows(list(u) + list(w)))
+
+
 def isomorphism_invariants(a: Algebra) -> Invariants:
     series = derived_series(a)
     z = center(a)
     d1 = series[1] if len(series) > 1 else Subspace.zero(a.dim)
     n = a.dim
-    # bracket as a linear map S^2 J -> J: one column per pair i <= j
-    pair_cols = [a.bracket_basis(i, j) for i in range(n) for j in range(i, n)]
-    bracket_map = Matrix.from_columns(pair_cols) if pair_cols else Matrix.zero(n, 0)
     cp = charpoly(a.alpha)
     profile = []
     for lam in rational_roots(cp):
+        # one RREF of alpha - lam gives the eigenvectors and, from its pivot
+        # columns, a basis of the image
         shifted = a.alpha - Matrix.identity(n).scale(lam)
-        eig = kernel_basis(shifted)
-        eb = eig.basis
-        bracket_span = Subspace.from_spanning(
-            n, [a.bracket(u, v) for bi, u in enumerate(eb) for v in eb[bi:]]
-        )
-        shifted_image = image_basis(shifted)
+        red, pivots = rref(shifted)
+        eig = _kernel_vectors(red, pivots)
+        image = [shifted.column(c) for c in pivots]
+        brackets = [a.bracket(u, v) for bi, u in enumerate(eig) for v in eig[bi:]]
         profile.append(
             (
                 lam,
-                eig.dim,
-                bracket_span.dim,
-                eig.intersection_dim(z),
-                eig.intersection_dim(d1),
-                shifted_image.intersection_dim(d1),
+                len(eig),
+                rank(Matrix.from_rows(brackets)),
+                _meet_dim(eig, z.basis),
+                _meet_dim(eig, d1.basis),
+                _meet_dim(image, d1.basis),
             )
         )
     return Invariants(
@@ -388,6 +393,7 @@ def isomorphism_invariants(a: Algebra) -> Invariants:
         center_dim=z.dim,
         alpha_charpoly=cp,
         alpha_minpoly=minpoly(a.alpha),
-        bracket_rank=rank(bracket_map),
+        # the columns of the bracket map S^2 J -> J span D1
+        bracket_rank=series[1].dim if len(series) > 1 else n,
         eigen_profile=tuple(profile),
     )

@@ -382,11 +382,13 @@ def c3r_space(a: Algebra) -> Subspace:
 
 
 def in_c2r(a: Algebra, f: ScalarForm) -> bool:
-    return c2r_space(a).contains(f.coords)
+    at = a.alpha.transpose()
+    return vec_is_zero(_twist_constraint(at, at).apply(f.coords))
 
 
 def in_c3r(a: Algebra, f: ScalarForm) -> bool:
-    return f.is_symmetric12() and c3r_space(a).contains(scalar3_sym12_to_vector(f))
+    return f.is_symmetric12() and vec_is_zero(
+        _twist_constraint(_pair_twist(a), a.alpha.transpose()).apply(scalar3_sym12_to_vector(f)))
 
 
 # ---------------------------------------------------------------------------

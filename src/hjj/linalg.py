@@ -18,6 +18,7 @@ All values are immutable; every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -369,31 +370,31 @@ class Subspace:
     def sum_with(self, other: "Subspace") -> "Subspace":
         return Subspace.from_spanning(self.ambient_dim, list(self.basis) + list(other.basis))
 
-    def intersection_dim(self, other: "Subspace") -> int:
-        return self.dim + other.dim - self.sum_with(other).dim
-
     def matrix(self) -> Matrix:
         """Basis vectors as the rows of a matrix (dim x ambient)."""
         return Matrix(self.dim, self.ambient_dim, self.basis)
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the null space {v : m v = 0}.
-
-    The basis has one vector per free column, with a 1 in that column; this
-    is the standard RREF parametrisation, hence deterministic and exact.
-    """
-    red, pivots = rref(m)
+def _kernel_vectors(red: Matrix, pivots: tuple) -> list:
+    """The RREF parametrisation of a null space from the reduced matrix:
+    one vector per free column, with a 1 in that column."""
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
     vectors = []
-    for fc in free_cols:
-        v = [ZERO] * m.cols
+    for fc in range(red.cols):
+        if fc in pivot_set:
+            continue
+        v = [ZERO] * red.cols
         v[fc] = ONE
         for r, pc in enumerate(pivots):
             v[pc] = -red.entries[r][fc]
         vectors.append(tuple(v))
-    return Subspace.from_spanning(m.cols, vectors)
+    return vectors
+
+
+def kernel_basis(m: Matrix) -> Subspace:
+    """Canonical basis of the null space {v : m v = 0}, spanned by the RREF
+    parametrisation (deterministic and exact)."""
+    return Subspace.from_spanning(m.cols, _kernel_vectors(*rref(m)))
 
 
 def image_basis(m: Matrix) -> Subspace:
@@ -430,91 +431,128 @@ def quotient_dim(big: Subspace, small: Subspace) -> tuple[int, tuple]:
 # ---------------------------------------------------------------------------
 
 
+def _powers(m: Matrix) -> list:
+    """I, m, m^2, ..., m^n for the n x n matrix m."""
+    powers = [Matrix.identity(m.rows)]
+    for _ in range(m.rows):
+        powers.append(powers[-1] @ m)
+    return powers
+
+
 def charpoly(m: Matrix) -> tuple:
     """Monic characteristic polynomial, highest degree first.
 
-    Faddeev-LeVerrier recursion; exact because division is only by integers.
+    Newton's identities on the power traces p_k = tr(m^k):
+    k c_k = -(c_{k-1} p_1 + ... + c_0 p_k), exact because division is only
+    by the integer k.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.rows
+    traces = [p.trace() for p in _powers(m)]
     coeffs = [ONE]
-    mk = Matrix.identity(n)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        ck = -mk.trace() / QQ(k)
-        coeffs.append(ck)
-        if k < n:
-            mk = mk + Matrix.identity(n).scale(ck)
+    for k in range(1, m.rows + 1):
+        coeffs.append(-sum((coeffs[k - i] * traces[i] for i in range(1, k + 1)), ZERO) / k)
     return tuple(coeffs)
 
 
 def minpoly(m: Matrix) -> tuple:
     """Monic minimal polynomial, highest degree first.
 
-    Finds the first linear dependence among I, m, m^2, ... by an exact solve
-    in the vectorised matrix space.
+    One RREF of the n^2 x (n+1) matrix whose columns are the vectorised
+    I, m, ..., m^n: its first non-pivot column k gives the first linear
+    dependence, m^k = sum_i red[i][k] m^i.
     """
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
-    n = m.rows
-
-    def flatten(a: Matrix) -> Vector:
-        return tuple(x for row in a.entries for x in row)
-
-    powers = [Matrix.identity(n)]
-    for k in range(1, n + 1):
-        powers.append(powers[-1] @ m)
-        stacked = Matrix.from_columns([flatten(p) for p in powers[:k]])
-        sol = solve(stacked, flatten(powers[k]))
-        if sol is not None:
-            # m^k = sum sol_i m^i  =>  p(t) = t^k - sum sol_i t^i
-            return (ONE,) + tuple(-sol[k - 1 - i] for i in range(k))
-    raise AssertionError("Cayley-Hamilton guarantees dependence by degree n")
+    red, pivots = rref(Matrix.from_columns([[x for row in p.entries for x in row] for p in _powers(m)]))
+    k = len(pivots)  # Cayley-Hamilton: column n is dependent, so columns 0..k-1 are the pivots
+    return (ONE,) + tuple(-red.entries[i][k] for i in reversed(range(k)))
 
 
-def poly_eval(poly: Sequence, x):
-    acc = ZERO
-    for c in poly:
-        acc = acc * x + c
+def _taylor_shift(low_first: list) -> list:
+    """p(x + 1) from p(x), coefficients lowest degree first."""
+    c = list(low_first)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    return c
+
+
+def _integer_value(coeffs, p: int, q: int) -> int:
+    """q^d f(p/q) for the integer polynomial f (highest degree first)."""
+    acc, qi = 0, 1
+    for c in coeffs:
+        acc = acc * p + c * qi
+        qi *= q
     return acc
 
 
-def rational_roots(poly: Sequence) -> tuple:
-    """All rational roots of the polynomial (coefficients highest-first).
+def _positive_roots(f: list) -> list:
+    """The positive rational roots, as (p, q) pairs, of the integer
+    polynomial f (highest degree first, f(0) != 0), by Descartes bisection
+    (Collins & Akritas) on (0, 2^e), 2^e above the Cauchy bound.
 
-    Clears denominators and applies the rational root theorem; adequate for
-    the small-degree twist matrices this package meets.
+    The interval (c, c+1)/2^k, in units of 2^e, carries p(x) =
+    2^(kd) f(2^e (c + x)/2^k), whose roots in (0, 1) number at most the sign
+    changes of (x+1)^d p(1/(x+1)).  Its halves carry 2^d p(x/2) and that
+    shifted by 1; their common end, the midpoint, is tested exactly.  A
+    rational root's denominator divides lead, so on an interval narrower
+    than 1/(2 lead^2) the only candidate is the closest fraction to the
+    midpoint with denominator at most lead.
     """
-    coeffs = [QQ(c) for c in poly]
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    if not coeffs:
-        return ()
+    d, lead = len(f) - 1, abs(f[0])
+    e = (max(abs(a) for a in f[1:]) // lead + 2).bit_length()
+    depth = e + (2 * lead * lead).bit_length()  # 2^(e - depth) < 1/(2 lead^2)
+
+    def value(u: int, k: int) -> int:  # f(2^e u / 2^k) times a positive number
+        return _integer_value(f, u << e, 1 << k)
+
+    points = []  # (u, k) for 2^e u / 2^k: a root on a midpoint, or a candidate's midpoint
+    todo = [(0, 0, [a << (e * (d - i)) for i, a in enumerate(f)][::-1])]  # f(2^e x), lowest first
+    while todo:
+        c, k, p = todo.pop()
+        signs = [x > 0 for x in _taylor_shift(p[::-1]) if x]
+        variations = sum(a != b for a, b in zip(signs, signs[1:]))
+        if variations == 0:
+            continue
+        if variations == 1 and (lo := value(c, k)) and value(c + 1, k):
+            # one simple root and a sign change (an end that is a root found
+            # on an earlier midpoint has no sign): bisect on the sign of f
+            while k < depth and (mid := value(2 * c + 1, k + 1)):
+                c, k = 2 * c + ((mid > 0) == (lo > 0)), k + 1
+            points.append((2 * c + 1, k + 1))
+        elif k >= depth:
+            points.append((2 * c + 1, k + 1))
+        else:
+            left = [a << (d - j) for j, a in enumerate(p)]  # 2^d p(x/2)
+            right = _taylor_shift(left)
+            if not right[0]:
+                points.append((2 * c + 1, k + 1))
+            todo += [(2 * c, k + 1, left), (2 * c + 1, k + 1, right)]
+    candidates = (Fraction(u << e, 1 << k).limit_denominator(lead) for u, k in points)
+    return [(r.numerator, r.denominator) for r in candidates if not _integer_value(f, r.numerator, r.denominator)]
+
+
+def rational_roots(poly: Sequence) -> tuple:
+    """All distinct rational roots of the polynomial (coefficients highest
+    degree first), in increasing order.
+
+    Runs in time polynomial in the bit size of the coefficients: the
+    polynomial is made a primitive integer one, zero roots are peeled off,
+    and the positive roots of f(x) and of f(-x) are isolated by Descartes
+    bisection on (0, 2^e), 2^e above the Cauchy bound; each rational root
+    is read off its isolating interval by its bounded denominator and
+    confirmed by exact integer evaluation.
+    """
+    f = _integer_row(vec(poly))[0]
+    while f and not f[0]:
+        f.pop(0)
     roots = set()
-    while coeffs[-1] == 0 and len(coeffs) > 1:
+    while len(f) > 1 and not f[-1]:
         roots.add(ZERO)
-        coeffs.pop()
-    if len(coeffs) == 1:
-        return tuple(sorted(roots))
-    denom = lcm(*[int(c.denominator) for c in coeffs]) if len(coeffs) > 1 else 1
-    ints = [int(c * denom) for c in coeffs]
-
-    def divisors(k: int):
-        k = abs(k)
-        out = set()
-        d = 1
-        while d * d <= k:
-            if k % d == 0:
-                out.add(d)
-                out.add(k // d)
-            d += 1
-        return out
-
-    lead, const = ints[0], ints[-1]
-    for p in divisors(const):
-        for q in divisors(lead):
-            for cand in (QQ(p, q), QQ(-p, q)):
-                if poly_eval(coeffs, cand) == 0:
-                    roots.add(cand)
+        f.pop()
+    if len(f) > 1:
+        roots.update(ratio(p, q) for p, q in _positive_roots(f))
+        mirrored = [-a if i % 2 else a for i, a in enumerate(f)]  # f(-x) up to sign
+        roots.update(ratio(-p, q) for p, q in _positive_roots(mirrored))
     return tuple(sorted(roots))

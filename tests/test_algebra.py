@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from hjj import QQ, Matrix
 from hjj.algebra import (
     Algebra,
+    Invariants,
     LinearMapBetweenAlgebras,
     SubspaceOfAlgebra,
     center,
@@ -20,10 +22,11 @@ from hjj.algebra import (
     is_subalgebra,
     isomorphism_invariants,
 )
-from hjj.catalog import instantiate
-from hjj.linalg import Subspace
+from hjj.catalog import DEFAULT_GRID, catalog_list, instantiate
+from hjj.linalg import Subspace, image_basis, kernel_basis, rank
 
-from .gen import conjugate_algebra, rand_invertible, random_algebra
+from .gen import conjugate_algebra, rand_invertible, rand_structure, random_algebra
+from .test_linalg import reference_charpoly, reference_minpoly, reference_rational_roots
 
 
 def j111(a=2):
@@ -162,3 +165,58 @@ def test_invariants_preserved_under_conjugation():
         phi = LinearMapBetweenAlgebras(b, a, p)
         assert check_homomorphism(phi).passed and is_isomorphism(phi)
         assert isomorphism_invariants(a) == isomorphism_invariants(b)
+
+
+def _intersection_dim(u, w):
+    return u.dim + w.dim - u.sum_with(w).dim
+
+
+# isomorphism_invariants as the package computed it before it read the
+# eigen-profile off one RREF per eigenvalue: the reference it is held to.
+def reference_invariants(a):
+    series = derived_series(a)
+    z = center(a)
+    d1 = series[1] if len(series) > 1 else Subspace.zero(a.dim)
+    n = a.dim
+    pair_cols = [a.bracket_basis(i, j) for i in range(n) for j in range(i, n)]
+    bracket_map = Matrix.from_columns(pair_cols) if pair_cols else Matrix.zero(n, 0)
+    cp = reference_charpoly(a.alpha)
+    profile = []
+    for lam in reference_rational_roots(cp):
+        shifted = a.alpha - Matrix.identity(n).scale(lam)
+        eig = kernel_basis(shifted)
+        eb = eig.basis
+        bracket_span = Subspace.from_spanning(n, [a.bracket(u, v) for bi, u in enumerate(eb) for v in eb[bi:]])
+        shifted_image = image_basis(shifted)
+        profile.append((lam, eig.dim, bracket_span.dim, _intersection_dim(eig, z),
+                        _intersection_dim(eig, d1), _intersection_dim(shifted_image, d1)))
+    return Invariants(n, tuple(s.dim for s in series), z.dim, cp, reference_minpoly(a.alpha),
+                      rank(bracket_map), tuple(profile))
+
+
+def test_invariants_match_reference_on_catalog_points():
+    checked = 0
+    for entry in catalog_list():
+        for combo in product(DEFAULT_GRID, repeat=len(entry.params)):
+            values = dict(zip(entry.params, combo))
+            if entry.admissible(values):
+                a = entry.instantiate(values)
+                assert isomorphism_invariants(a) == reference_invariants(a), (entry.name, values)
+                checked += 1
+    assert checked > 100
+
+
+def test_invariants_match_reference_on_random_structures():
+    """Random brackets, with the random twist and with a triangular twist
+    with repeated rational eigenvalues, and conjugated seed algebras."""
+    rng = random.Random(29)
+    profiles = 0
+    for n in (1, 2, 3, 4) * 10:
+        a = rand_structure(rng, n)
+        triangular = Matrix.from_rows([[rng.choice((-1, 1, 2)) if i == j else rng.choice((0, 0, 1)) if i < j else 0
+                                        for j in range(n)] for i in range(n)])
+        for b in (a, Algebra(n, a.bracket_tensor, triangular), random_algebra(rng)):
+            inv = isomorphism_invariants(b)
+            assert inv == reference_invariants(b)
+            profiles += bool(inv.eigen_profile)
+    assert profiles > 60

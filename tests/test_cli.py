@@ -1,6 +1,10 @@
+import io
 import json
+import signal
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hjj.cli
 
@@ -304,3 +308,47 @@ def test_internal_error_exit3(files, capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == "error: internal error: RuntimeError: stage failed second line\n"
     assert "Traceback" not in err
+
+
+class Overrun(BaseException):
+    """Raised by time_limit; not an Exception, so main cannot map it to an
+    exit code."""
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test, instead of hanging the suite, if the body overruns."""
+    def expire(signum, frame):
+        raise Overrun(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_classify_huge_grid_value_finishes(capsys, dim):
+    with time_limit(10):
+        code, out, _ = run(capsys, "classify", "--dim", dim, "--grid=1000003")
+    assert code == 0 and "outputs:" in out
+
+
+huge_rationals = st.builds(
+    lambda p, q: f"{p}/{q}" if q > 1 else str(p),
+    st.integers(-10**40, 10**40),
+    st.integers(1, 10**30),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(huge_rationals, min_size=1, max_size=3))
+def test_classify_huge_grids_keep_exit_contract(values):
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(20), redirect_stdout(out), redirect_stderr(err):
+        code = main(["classify", "--dim", "2", "--grid=" + ",".join(values)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()

@@ -17,6 +17,7 @@ from hjj.cohomology import (
     _dc2_matrix,
     _dr2_matrix,
     _pair_twist,
+    c2r_space,
     c3r_space,
     cochain1_space,
     cochain2_space,
@@ -29,6 +30,7 @@ from hjj.cohomology import (
     in_c2r,
     in_c3r,
     pairs,
+    scalar3_sym12_to_vector,
 )
 from hjj.documents import (
     algebra_from_payload,
@@ -512,6 +514,32 @@ def test_c2r_c3r_membership():
     bad3 = ScalarForm.from_entries(2, 3, {(1, 1, 1): QQ(1)})
     assert not in_c3r(alg, bad3)  # 16 vs 4
     assert c3r_space(alg).dim >= 1
+
+
+
+def test_c2r_c3r_membership_matches_spaces():
+    """in_c2r and in_c3r against membership in c2r_space and c3r_space, on
+    members, perturbed members and 3-forms not symmetric in slots 1 and 2."""
+    rng = random.Random(37)
+    outcomes = set()
+    for _ in range(20):
+        alg, _ = random_pair(rng)
+        n = alg.dim
+        f = random_c2r_form(rng, alg)
+        g = random_c3r_form(rng, alg)
+        unit2 = ScalarForm.from_entries(n, 2, {(rng.randrange(n), rng.randrange(n)): QQ(1)}, symmetrize=False)
+        t = rng.randrange(n)
+        unit3 = ScalarForm.from_entries(n, 3, {(0, n - 1, t): QQ(1)}, symmetrize=False)
+        swapped = ScalarForm.from_entries(n, 3, {(n - 1, 0, t): QQ(1)}, symmetrize=False)
+        for form in (f, f + unit2):
+            expected = c2r_space(alg).contains(form.coords)
+            assert in_c2r(alg, form) == expected
+            outcomes.add(("C2_r", expected))
+        for form in (g, g + unit3, g + unit3 + swapped):
+            expected = form.is_symmetric12() and c3r_space(alg).contains(scalar3_sym12_to_vector(form))
+            assert in_c3r(alg, form) == expected
+            outcomes.add(("C3_r", expected))
+    assert outcomes == {("C2_r", True), ("C2_r", False), ("C3_r", True), ("C3_r", False)}
 
 
 # -- H2 ------------------------------------------------------------------------

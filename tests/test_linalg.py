@@ -1,4 +1,6 @@
+import time
 from itertools import product
+from math import isqrt, lcm
 from unittest import mock
 
 import pytest
@@ -17,7 +19,6 @@ from hjj.linalg import (
     kernel_basis,
     kron,
     minpoly,
-    poly_eval,
     quotient_dim,
     rank,
     rational_roots,
@@ -282,6 +283,109 @@ def test_charpoly_annihilates(m):
     assert acc.is_zero()
 
 
+def poly_eval(poly, x):
+    acc = QQ(0)
+    for c in poly:
+        acc = acc * x + c
+    return acc
+
+
+# The trial-division rational_roots, Faddeev-LeVerrier charpoly and
+# solve-based minpoly the package used before its polynomial-time versions:
+# the references those are held to.
+def reference_rational_roots(poly):
+    coeffs = [QQ(c) for c in poly]
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    if not coeffs:
+        return ()
+    roots = set()
+    while coeffs[-1] == 0 and len(coeffs) > 1:
+        roots.add(QQ(0))
+        coeffs.pop()
+    if len(coeffs) == 1:
+        return tuple(sorted(roots))
+    denom = lcm(*[int(c.denominator) for c in coeffs])
+    ints = [int(c * denom) for c in coeffs]
+
+    def divisors(k):
+        k = abs(k)
+        return {d for i in range(1, isqrt(k) + 1) if k % i == 0 for d in (i, k // i)}
+
+    for p in divisors(ints[-1]):
+        for q in divisors(ints[0]):
+            for cand in (QQ(p, q), QQ(-p, q)):
+                if poly_eval(coeffs, cand) == 0:
+                    roots.add(cand)
+    return tuple(sorted(roots))
+
+
+def reference_charpoly(m):
+    n = m.rows
+    coeffs = [QQ(1)]
+    mk = Matrix.identity(n)
+    for k in range(1, n + 1):
+        mk = m @ mk
+        ck = -mk.trace() / QQ(k)
+        coeffs.append(ck)
+        if k < n:
+            mk = mk + Matrix.identity(n).scale(ck)
+    return tuple(coeffs)
+
+
+def reference_minpoly(m):
+    n = m.rows
+
+    def flatten(a):
+        return tuple(x for row in a.entries for x in row)
+
+    powers = [Matrix.identity(n)]
+    for k in range(1, n + 1):
+        powers.append(powers[-1] @ m)
+        stacked = Matrix.from_columns([flatten(p) for p in powers[:k]])
+        sol = solve(stacked, flatten(powers[k]))
+        if sol is not None:
+            return (QQ(1),) + tuple(-sol[k - 1 - i] for i in range(k))
+    raise AssertionError("Cayley-Hamilton guarantees dependence by degree n")
+
+
+def poly_mul(a, b):
+    out = [QQ(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# dyadic values sit on bisection midpoints and interval ends
+ROOT_POOL = [QQ(v) for v in ("0", "1", "-1", "2", "-2", "3", "4", "-8", "1/2", "-1/2", "1/4", "3/4",
+                             "-3/4", "5/8", "-3/2", "7/4", "1/3", "-2/3", "5/3", "3/7")]
+# factors without a rational root: x^2 + k and x^2 - 2, x^2 - 3
+IRRATIONAL = [(1, 0, 1), (1, 0, 2), (1, 0, 5), (1, 0, -2), (1, 0, -3), (1, 1, 1)]
+
+
+@st.composite
+def root_polynomials(draw):
+    """A polynomial with roots drawn (with repeats) from ROOT_POOL, times
+    factors without rational roots, times a rational of either sign."""
+    poly = [QQ(1)]
+    for r in draw(st.lists(st.sampled_from(ROOT_POOL), max_size=4)):
+        s = draw(st.integers(1, 3))
+        poly = poly_mul(poly, [QQ(s), -s * r])
+    for f in draw(st.lists(st.sampled_from(IRRATIONAL), max_size=2)):
+        poly = poly_mul(poly, [QQ(c) for c in f])
+    scale = QQ(draw(st.integers(1, 6)), draw(st.integers(1, 6))) * draw(st.sampled_from([1, -1]))
+    return [scale * c for c in poly]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(root_polynomials(), st.lists(st.integers(-30, 30), min_size=1, max_size=6).map(lambda c: [QQ(x) for x in c])))
+def test_rational_roots_match_trial_division(poly):
+    roots = rational_roots(poly)
+    assert roots == reference_rational_roots(poly)
+    assert all(type(r) is type(QQ(0)) for r in roots)
+
+
 def test_rational_roots():
     # (t - 2)(t + 1/2) = t^2 - 3/2 t - 1
     poly = (QQ(1), QQ(-3, 2), QQ(-1))
@@ -290,6 +394,36 @@ def test_rational_roots():
     for r in roots:
         assert poly_eval(poly, r) == 0
     assert rational_roots((QQ(1), QQ(0), QQ(2))) == ()  # t^2 + 2
+    # -1/2 is a root on a bisection midpoint, at the end of -2/3's interval
+    # (and -1 at the end of -7/4's), in both signs
+    for sign in (1, -1):
+        assert rational_roots([QQ(sign * c) for c in (24, 22, 1, -2)]) == (QQ(-2, 3), QQ(-1, 2), QQ(1, 4))
+        assert rational_roots([QQ(sign * c) for c in (4, 11, 7)]) == (QQ(-7, 4), QQ(-1))
+    assert rational_roots([QQ(-3), QQ(0), QQ(3), QQ(0), QQ(0)]) == (QQ(-1), QQ(0), QQ(1))
+    assert rational_roots([QQ(0), QQ(5)]) == ()
+    assert rational_roots([QQ(0)]) == rational_roots([]) == ()
+
+
+def test_rational_roots_polynomial_time():
+    big = 10**9 + 7
+    start = time.perf_counter()
+    assert rational_roots([QQ(1), QQ(0), QQ(0), QQ(-big**3)]) == (QQ(big),)
+    assert time.perf_counter() - start < 1
+    roots = [QQ(1000003), QQ(1, 1000003), QQ(-1000003, 7)]
+    poly = [QQ(1)]
+    for r in roots:
+        poly = poly_mul(poly, [QQ(1), -r])
+    start = time.perf_counter()
+    assert rational_roots(poly) == tuple(sorted(roots))
+    assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices(4).filter(lambda m: m.is_square()))
+def test_charpoly_minpoly_match_references(m):
+    m = m.scale(QQ(1, 2)) if m.rows % 2 else m  # half-integer entries too
+    assert charpoly(m) == reference_charpoly(m)
+    assert minpoly(m) == reference_minpoly(m)
 
 
 def test_subspace_membership_deterministic():
