@@ -113,9 +113,9 @@ class Algebra:
 
 def _per_object(fn):
     """fn(x) computed once per object x and kept in ``x.__dict__``, for the
-    frozen ``Algebra`` and ``Representation``, whose ``__eq__``, ``__hash__``
-    and repr read only their fields.  Every caller shares the (immutable)
-    result, and it lives as long as x."""
+    frozen ``Algebra``, ``Representation`` and ``MetricAlgebra``, whose
+    ``__eq__``, ``__hash__`` and repr read only their fields.  Every caller
+    shares the (immutable) result, and it lives as long as x."""
     key = "_memo_" + fn.__name__
 
     @wraps(fn)
@@ -365,7 +365,7 @@ def _meet_dim(u: list, w: list) -> int:
 def isomorphism_invariants(a: Algebra) -> Invariants:
     series = derived_series(a)
     z = center(a)
-    d1 = series[1] if len(series) > 1 else Subspace.zero(a.dim)
+    d1 = series[1] if len(series) > 1 else series[0]
     n = a.dim
     cp = charpoly(a.alpha)
     profile = []

@@ -38,12 +38,14 @@ by summing over the nonzero structure constants (``_structure_tables``) and
 the nonzero entries of rho and beta.  The public operators apply it to a
 cochain's coordinates; compute_H2 takes its kernel and image.
 
-d2 f is fully symmetric, so the d2 matrix has rows for the sorted triples
-only: row ``t*m + p`` is the p-th coordinate of d2 f(e_i, e_j, e_k) at the
-t-th triple i <= j <= k in lexicographic order (``_triples``); the public
-``d2`` expands its image to the Cochain3 layout by symmetry.  The d1 and d2
-matrices, C1 and the C2 constraint are built once per representation, and
-T once per algebra (``_per_object``).
+d2 f, and d_r^3 g for g symmetric in its first two slots, are symmetric in
+their first three slots, so the d2 matrix, ``dr3`` on such g and the gamma
+condition of compute_H2Q keep only the rows ``t*w + p`` at the t-th sorted
+triple i <= j <= k (``_triples``), p the V-coordinate (w = m) for d2 and the
+fourth slot (w = n) for d_r^3; ``_expand_sorted`` reads the others back by
+symmetry.  d_r^3 is one six-term rule (``_dr3_terms``), evaluated at every
+4-tuple for other g.  The d1 and d2 matrices, C1 and the C2 constraint are
+built once per representation, and T once per algebra (``_per_object``).
 """
 
 from __future__ import annotations
@@ -79,6 +81,19 @@ def pairs(n: int) -> list:
 def _triples(n: int) -> list:
     """The sorted triples i <= j <= k, in lexicographic order."""
     return list(combinations_with_replacement(range(n), 3))
+
+
+def _expand_sorted(n: int, rows, width: int, triples) -> tuple:
+    """Rows kept at the sorted triples, ``width`` values each, read at each
+    (i, j, k) of ``triples`` through its sorted triple."""
+    tpos = {t: idx * width for idx, t in enumerate(_triples(n))}
+    starts = [tpos[tuple(sorted(ijk))] for ijk in triples]
+    return tuple(rows[s + p] for s in starts for p in range(width))
+
+
+def _sorted_rows(f: "ScalarForm") -> tuple:
+    """A 4-form's values at the rows (triple, t), the triples sorted."""
+    return tuple(f.value(*ijk, t) for ijk, t in product(_triples(f.dim), range(f.dim)))
 
 
 def _pair_positions(n: int) -> dict:
@@ -503,11 +518,10 @@ def d2(f: Cochain2) -> Cochain3:
     fully symmetric by construction."""
     if not f.is_compatible():
         raise NotACochain("d2 argument violates beta o f = f o alpha")
-    n, m = f.rep.algebra.dim, f.rep.vdim
+    n = f.rep.algebra.dim
     image = _d2_matrix(f.rep).apply(f.coords)
-    tpos = {t: idx * m for idx, t in enumerate(_triples(n))}
-    starts = [tpos[tuple(sorted((i, j, k)))] for i, j in pairs(n) for k in range(n)]
-    return Cochain3(f.rep, tuple(image[s + p] for s in starts for p in range(m)))
+    triples = ((i, j, k) for i, j in pairs(n) for k in range(n))
+    return Cochain3(f.rep, _expand_sorted(n, image, f.rep.vdim, triples))
 
 
 def dc2(f: Cochain2) -> Cochain3:
@@ -537,35 +551,35 @@ def dr2(a: Algebra, f: ScalarForm) -> ScalarForm:
     return ScalarForm(n, 3, tuple(v[pos[i, j] * n + t] for i, j, t in product(range(n), repeat=3)))
 
 
+def _dr3_terms(a: Algebra, i: int, j: int, k: int, t: int):
+    """The terms (x, (p, q, u)) of d_r^3 g(e_i, e_j, e_k, e_t) =
+    sum x * g(e_p, e_q, e_u), summed over the nonzero structure constants."""
+    c, alpha_cols, alpha_br = _structure_tables(a)
+    for p, q, w in ((i, j, k), (i, k, j), (j, k, i)):
+        # g([e_p, e_q], alpha e_w, e_t) + g(e_p, e_q, [alpha e_w, e_t])
+        for s, x in c[p][q]:
+            for u, y in alpha_cols[w]:
+                yield x * y, (s, u, t)
+        for u, x in alpha_br[w][t]:
+            yield x, (p, q, u)
+
+
 def dr3(a: Algebra, g: ScalarForm) -> ScalarForm:
     """d_r^3 g(x,y,z,t) = g([x,y],alpha z,t) + g([x,z],alpha y,t)
     + g([y,z],alpha x,t) + g(x,y,[alpha z,t]) + g(y,z,[alpha x,t])
-    + g(x,z,[alpha y,t]).
-
-    Summed over nonzero structure constants: the first three terms through
-    ga[k][t][s] = g(e_s, alpha e_k, e_t), the last three through the
-    nonzero coordinates of [alpha e_k, e_t]."""
+    + g(x,z,[alpha y,t]), on the rows the module docstring gives."""
     if g.degree != 3 or g.dim != a.dim:
         raise ValueError("dr3 expects a trilinear form on the algebra")
-    n = a.dim
-    r = range(n)
-    c, alpha_cols, alpha_br = _structure_tables(a)
-    gv = g.coords
-    ga = [
-        [[sum((x * gv[(s * n + u) * n + t] for u, x in alpha_cols[k]), ZERO) for s in r] for t in r]
-        for k in r
-    ]
+    n, gv = a.dim, g.coords
 
     def value(i, j, k, t):
-        terms = []
-        for p, q, w in ((i, j, k), (i, k, j), (j, k, i)):
-            # g([e_p, e_q], alpha e_w, e_t) + g(e_p, e_q, [alpha e_w, e_t])
-            pq = (p * n + q) * n
-            terms += [x * ga[w][t][s] for s, x in c[p][q] if ga[w][t][s]]
-            terms += [x * gv[pq + u] for u, x in alpha_br[w][t] if gv[pq + u]]
-        return sum(terms, ZERO)
+        terms = _dr3_terms(a, i, j, k, t)
+        return sum((x * v for x, (p, q, u) in terms if (v := gv[(p * n + q) * n + u])), ZERO)
 
-    return ScalarForm(n, 4, tuple(value(*idx) for idx in product(r, repeat=4)))
+    if not g.is_symmetric12():
+        return ScalarForm(n, 4, tuple(value(*idx) for idx in product(range(n), repeat=4)))
+    rows = [value(i, j, k, t) for (i, j, k), t in product(_triples(n), range(n))]
+    return ScalarForm(n, 4, _expand_sorted(n, rows, n, product(range(n), repeat=3)))
 
 
 # ---------------------------------------------------------------------------

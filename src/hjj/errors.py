@@ -14,7 +14,7 @@ class ContainmentViolation(HJJError):
 
 
 class NotACochain(HJJError):
-    """A map fed to a coboundary operator violates its compatibility law."""
+    """A coboundary operand or quadratic cochain breaks its shape or compatibility law."""
 
 
 class InvalidCocycle(HJJError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .algebra import Algebra, SubspaceOfAlgebra, check_hom_jacobi, center, derived_series
+from .algebra import Algebra, SubspaceOfAlgebra, _per_object, check_hom_jacobi, center, derived_series
 from .cohomology import ScalarForm, dr3
 from .errors import DegenerateForm
 from .linalg import Matrix, Subspace, determinant, kernel_basis
@@ -95,10 +95,11 @@ def check_metric(m: MetricAlgebra) -> MetricReport:
     )
 
 
+@_per_object
 def gamma_form(m: MetricAlgebra) -> ScalarForm:
     """gamma(x, y, z) = B([x, y], z), one product: the n^2 x n matrix whose
-    row i*n + j is [e_i, e_j] times the form.  Fully symmetric when the
-    metric axioms hold."""
+    row i*n + j is [e_i, e_j] times the form, built once per MetricAlgebra.
+    Fully symmetric when the metric axioms hold."""
     a = m.algebra
     n = a.dim
     brackets = Matrix(n * n, n, tuple(a.bracket_tensor[i][j] for i, j in product(range(n), repeat=2)))
@@ -190,7 +191,7 @@ def center_derived_duality(m: MetricAlgebra, report: Optional[MetricReport] = No
         report = check_metric(m)
     z = center(m.algebra)
     series = derived_series(m.algebra)
-    d1 = series[1] if len(series) > 1 else Subspace.zero(m.algebra.dim)
+    d1 = series[1] if len(series) > 1 else series[0]
     perp = orthogonal(m, SubspaceOfAlgebra(m.algebra, d1)).space
     return DualityReport(
         precondition_failed=not report.passed,

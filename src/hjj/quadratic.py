@@ -22,6 +22,7 @@ from .algebra import (
     Algebra,
     LinearMapBetweenAlgebras,
     SubspaceOfAlgebra,
+    _per_object,
     _structure_tables,
     check_homomorphism,
     is_ideal,
@@ -32,7 +33,11 @@ from .cohomology import (
     Cochain3,
     ScalarForm,
     _dr2_matrix,
+    _dr3_terms,
+    _expand_sorted,
     _pair_positions,
+    _sorted_rows,
+    _triples,
     c2r_space,
     compute_H2,
     d1,
@@ -42,7 +47,7 @@ from .cohomology import (
     pairs,
     scalar3_sym12_to_vector,
 )
-from .errors import ContainmentViolation, PreconditionFailure
+from .errors import ContainmentViolation, NotACochain, PreconditionFailure
 from .linalg import Matrix, Subspace, image_basis, kernel_basis, zero_vector
 from .metric import MetricAlgebra, check_metric, is_isotropic, metric_criterion
 from .representations import (
@@ -65,11 +70,11 @@ class QuadraticCochain2:
 
     def __post_init__(self):
         if self.gamma.degree != 3 or self.gamma.dim != self.theta.rep.algebra.dim:
-            raise ValueError("gamma must be a trilinear form on the algebra")
+            raise NotACochain("gamma must be a trilinear form on the algebra")
         if not self.theta.is_compatible():
-            raise ValueError("theta must satisfy beta o theta = theta o alpha")
+            raise NotACochain("theta must satisfy beta o theta = theta o alpha")
         if not self.gamma.is_symmetric12():
-            raise ValueError("gamma must be symmetric in its first two slots")
+            raise NotACochain("gamma must be symmetric in its first two slots")
 
 
 @dataclass(frozen=True)
@@ -79,9 +84,9 @@ class QuadraticCochain1:
 
     def __post_init__(self):
         if self.sigma.degree != 2 or self.sigma.dim != self.tau.rep.algebra.dim:
-            raise ValueError("sigma must be a bilinear form on the algebra")
+            raise NotACochain("sigma must be a bilinear form on the algebra")
         if not self.tau.is_compatible():
-            raise ValueError("tau must satisfy tau o alpha = beta o tau")
+            raise NotACochain("tau must satisfy tau o alpha = beta o tau")
 
 
 def _pair_values(f: Cochain2) -> Matrix:
@@ -122,11 +127,9 @@ def d2Q(c: QuadraticCochain2, qrep: QuadraticRepresentation) -> tuple[Cochain3, 
     argument a, with t = alpha(a) substituted inside d_r^3 gamma.
     """
     theta, gamma = c.theta, c.gamma
-    a = theta.rep.algebra
-    if gamma.is_zero():
-        dr3_part = ScalarForm.zero(a.dim, 4)
-    else:
-        dr3_part = ScalarForm(a.dim, 4, _gamma_matrix(a).apply(scalar3_sym12_to_vector(gamma)))
+    n = gamma.dim
+    rows = _gamma_matrix(theta.rep.algebra).apply(scalar3_sym12_to_vector(gamma))
+    dr3_part = ScalarForm(n, 4, _expand_sorted(n, rows, n, product(range(n), repeat=3)))
     wedge_part = wedge(theta, theta.twist_arguments(), qrep.form).scale(QQ(1, 2))
     return d2(theta), dr3_part + wedge_part
 
@@ -206,8 +209,6 @@ def compute_H2Q(a: Algebra, qrep: QuadraticRepresentation) -> H2QResult:
     rep = qrep.rep
     h2 = compute_H2(rep)
     n = a.dim
-    npair = len(pairs(n))
-    ambient = npair * n  # sym12 trilinear coordinates
     # linear gamma-condition: dr3(gamma)(. , . , . , alpha .) = 0
     gamma_matrix = _gamma_matrix(a)
     gamma_kernel = kernel_basis(gamma_matrix)
@@ -216,19 +217,15 @@ def compute_H2Q(a: Algebra, qrep: QuadraticRepresentation) -> H2QResult:
         raise ContainmentViolation("dr2(C2_r) is not inside the gamma-cocycle kernel")
 
     theta_dims = (h2.c2.dim, h2.z2.dim, h2.b2.dim)
-    gamma_dims = (ambient, gamma_kernel.dim, gamma_image.dim)
+    gamma_dims = (gamma_matrix.cols, gamma_kernel.dim, gamma_image.dim)  # cols: sym12 coordinates
 
     # wedge obstruction, polarised over the Z2 basis
     z_basis = [Cochain2.from_vector(rep, v) for v in h2.z2.basis]
-    obstruction_free = True
-    for i, ti in enumerate(z_basis):
-        for tj in z_basis[i:]:
-            w = wedge(ti, tj.twist_arguments(), qrep.form) + wedge(tj, ti.twist_arguments(), qrep.form)
-            if not w.is_zero():
-                obstruction_free = False
-                break
-        if not obstruction_free:
-            break
+    obstruction_free = all(
+        (wedge(ti, tj.twist_arguments(), qrep.form) + wedge(tj, ti.twist_arguments(), qrep.form)).is_zero()
+        for i, ti in enumerate(z_basis)
+        for tj in z_basis[i:]
+    )
 
     if obstruction_free:
         h2q_dim = (h2.z2.dim - h2.b2.dim) + (gamma_kernel.dim - gamma_image.dim)
@@ -238,49 +235,37 @@ def compute_H2Q(a: Algebra, qrep: QuadraticRepresentation) -> H2QResult:
     # theta solvable, i.e. is its target in the column space of the condition?
     gamma_columns = image_basis(gamma_matrix)
     fibers = [FiberInfo(Cochain2.zero(rep), True, gamma_kernel.dim)]
-    all_obstructed = True
     for t in z_basis:
         rhs = wedge(t, t.twist_arguments(), qrep.form).scale(QQ(-1, 2))
-        if gamma_columns.contains(rhs.coords):
-            all_obstructed = False
-            fibers.append(FiberInfo(t, True, gamma_kernel.dim))
-        else:
-            fibers.append(FiberInfo(t, False, None))
-    if all_obstructed and h2.z2.dim == 1:
+        # the condition's image is symmetric in slots 1-3: a target that is
+        # not lies outside it, one that is lies inside when its sorted rows do
+        rows = _sorted_rows(rhs)
+        symmetric = _expand_sorted(n, rows, n, product(range(n), repeat=3)) == rhs.coords
+        solvable = symmetric and gamma_columns.contains(rows)
+        fibers.append(FiberInfo(t, solvable, gamma_kernel.dim if solvable else None))
+    if h2.z2.dim == 1 and not fibers[1].solvable:
         # the single theta-direction is killed over QQ: only theta = 0 remains
         h2q_dim = gamma_kernel.dim - gamma_image.dim
         return H2QResult("theta-pinned", theta_dims, gamma_dims, h2q_dim, (), tuple(fibers))
     return H2QResult("fibered", theta_dims, gamma_dims, None, tuple(z_basis), tuple(fibers))
 
 
+@_per_object
 def _gamma_matrix(a: Algebra) -> Matrix:
     """The gamma condition gamma |-> d_r^3 gamma(x, y, z, alpha(l)) as one
-    exact matrix, built from the nonzero structure constants: rows are the
-    index 4-tuples (i, j, k, l) in product order, columns the sym12
-    coordinates (pair, t) of gamma."""
+    exact matrix, kept per algebra: rows (triple, l) at the sorted triples,
+    columns the sym12 coordinates (pair, t) of gamma."""
     n = a.dim
-    c, alpha_cols, alpha_br = _structure_tables(a)
+    _, alpha_cols, _ = _structure_tables(a)
     pos = _pair_positions(n)
     ncols = len(pairs(n)) * n
     rows = []
-    for i, j, k in product(range(n), repeat=3):
-        # dr3_rows[t]: the row (i, j, k, t) of d_r^3
-        dr3_rows = [[ZERO] * ncols for _ in range(n)]
-        for t, row in enumerate(dr3_rows):
-            for p, q, r in ((i, j, k), (i, k, j), (j, k, i)):
-                # g([e_p, e_q], alpha e_r, e_t) + g(e_p, e_q, [alpha e_r, e_t])
-                for s, x in c[p][q]:
-                    for u, y in alpha_cols[r]:
-                        row[pos[s, u] * n + t] += x * y
-                for u, x in alpha_br[r][t]:
-                    row[pos[p, q] * n + u] += x
-        for l in range(n):
-            rows.append(
-                tuple(
-                    sum((x * dr3_rows[t][m] for t, x in alpha_cols[l] if dr3_rows[t][m]), ZERO)
-                    for m in range(ncols)
-                )
-            )
+    for (i, j, k), l in product(_triples(n), range(n)):
+        row = [ZERO] * ncols
+        for t, y in alpha_cols[l]:
+            for x, (p, q, u) in _dr3_terms(a, i, j, k, t):
+                row[pos[p, q] * n + u] += x * y
+        rows.append(tuple(row))
     return Matrix(len(rows), ncols, tuple(rows))
 
 

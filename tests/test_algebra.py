@@ -156,6 +156,25 @@ def test_invariants_distinguish_and_match():
     assert j2.alpha_minpoly != j1_at_1.alpha_minpoly
 
 
+def _perfect_algebras():
+    """Brackets with [J, J] = J: one idempotent with twist 0 (a
+    multiplicative Hom-Jacobi-Jordan algebra), and two orthogonal
+    idempotents with a twist of distinct eigenvalues."""
+    one = Algebra.from_brackets(1, {(0, 0): (1,)}, Matrix.zero(1, 1))
+    two = Algebra.from_brackets(2, {(0, 0): (1, 0), (1, 1): (0, 1)}, Matrix.diagonal([1, 2]))
+    assert check_hom_jacobi(one).passed and check_multiplicative(one).passed
+    return one, two
+
+
+def test_invariants_of_perfect_algebras_read_d1_as_j():
+    for a in _perfect_algebras():
+        n = a.dim
+        inv = isomorphism_invariants(a)
+        assert inv.derived_dims == (n,) and inv.bracket_rank == n
+        for lam, dim_e, _, _, e_d1, im_d1 in inv.eigen_profile:
+            assert (e_d1, im_d1) == (dim_e, n - dim_e)
+
+
 def test_invariants_preserved_under_conjugation():
     rng = random.Random(17)
     for _ in range(15):
@@ -176,7 +195,7 @@ def _intersection_dim(u, w):
 def reference_invariants(a):
     series = derived_series(a)
     z = center(a)
-    d1 = series[1] if len(series) > 1 else Subspace.zero(a.dim)
+    d1 = series[1] if len(series) > 1 else series[0]
     n = a.dim
     pair_cols = [a.bracket_basis(i, j) for i in range(n) for j in range(i, n)]
     bracket_map = Matrix.from_columns(pair_cols) if pair_cols else Matrix.zero(n, 0)

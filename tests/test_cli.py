@@ -245,6 +245,35 @@ def test_quadratic_equivmap(files, capsys):
     assert "verified equivalence: True" in out
 
 
+def test_quadratic_d2q_incompatible_theta_exit2(files, capsys, tmp_path):
+    # the worked-example theta violates beta o theta = theta o alpha for beta = 7
+    a = instantiate("J^1_{1,1}", {"a": 2})
+    rep = Representation.zero_action(a, 1, Matrix.from_rows([[QQ(7)]]))
+    qrep = tmp_path / "qrep7.json"
+    payload = representation_to_payload(rep, form=Matrix.identity(1))
+    qrep.write_text(emit_document(make_document("representation", payload)))
+    code, out, err = run(
+        capsys, "quadratic", "d2q", "--algebra", files["algebra.json"], "--qrep", str(qrep),
+        "--theta", files["theta.json"], "--gamma", files["gamma.json"],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "internal error" not in err
+
+
+def test_quadratic_equivmap_incompatible_tau_exit2(files, capsys, tmp_path):
+    # tau(e1) = 1 violates tau o alpha = beta o tau
+    rep = Representation.zero_action(instantiate("J^1_{1,1}", {"a": 2}), 1, Matrix.from_rows([[QQ(4)]]))
+    tau = tmp_path / "tau10.json"
+    payload = cochain1_to_payload(Cochain1(rep, Matrix.from_rows([[1, 0]])))
+    tau.write_text(emit_document(make_document("cochain", payload)))
+    code, out, err = run(
+        capsys, "quadratic", "equivmap", "--algebra", files["algebra.json"], "--qrep", files["qrep.json"],
+        "--tau", str(tau), "--sigma", files["sigma.json"],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "internal error" not in err
+
+
 def test_catalog_commands(files, capsys, tmp_path):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0 and "J^1_{1,1}" in out

@@ -253,6 +253,23 @@ def test_dr3_matches_six_term_expansion():
         assert dr3(a, g) == _dr3_six_terms(a, g)
 
 
+def test_dr3_symmetric_forms_match_six_term_expansion():
+    """The sorted-triple route of dr3, taken for forms symmetric in slots 1
+    and 2: a form symmetric there only, and a fully symmetric one."""
+    rng = random.Random(29)
+    algebras = [rand_structure(rng, n) for n in (1, 2, 3, 4) for _ in range(2)]
+    algebras.append(_twofold7(rng))
+    for a in algebras:
+        n = a.dim
+        coords = [rand_scalar(rng) if rng.random() < 0.4 else QQ(0) for _ in range(len(pairs(n)) * n)]
+        full = {idx: rand_scalar(rng) for idx in combinations_with_replacement(range(n), 3) if rng.random() < 0.4}
+        forms = (sym12_form(n, coords), ScalarForm.from_entries(n, 3, full, symmetrize=True))
+        assert n == 1 or not forms[0].is_fully_symmetric()
+        for g in forms:
+            assert g.is_symmetric12()
+            assert dr3(a, g) == _dr3_six_terms(a, g)
+
+
 def _unit(size, idx):
     return tuple(QQ(1) if x == idx else QQ(0) for x in range(size))
 

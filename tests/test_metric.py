@@ -26,6 +26,7 @@ from hjj.representations import (
 )
 
 from .gen import conjugate_algebra, dense_invariance_violations, rand_invertible, rand_scalar
+from .test_algebra import _perfect_algebras
 
 
 def twofold_j111(a=2):
@@ -147,6 +148,14 @@ def test_center_derived_duality():
     bad = MetricAlgebra(instantiate("J^1_{1,1}", {"a": 2}), Matrix.identity(2))
     guarded = center_derived_duality(bad)
     assert guarded.precondition_failed and not guarded.passed
+
+
+def test_center_derived_duality_of_perfect_algebras():
+    # D1 = J, so D1-perp = 0, which is the center of each example
+    for a in _perfect_algebras():
+        report = center_derived_duality(MetricAlgebra(a, Matrix.identity(a.dim)))
+        assert report.derived_perp.dim == 0
+        assert report.passed and report.center_space.dim == 0
 
 
 def test_beta_selfadjointness_of_metric_restriction():

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -276,11 +276,18 @@ def test_gamma_matrix_matches_unit_form_sweep():
     algebras = [rand_structure(rng, n) for n in (1, 2, 3, 3)]
     algebras += [random_quadratic(rng)[0] for _ in range(3)]
     for a in algebras:
+        n = a.dim
         matrix = _gamma_matrix(a)
         cols = _gamma_condition_sweep(a)
-        assert (matrix.rows, matrix.cols) == (a.dim**4, len(cols))
+        # the matrix keeps the rows (sorted triple, l); every other row of the
+        # sweep repeats the row of its sorted triple
+        kept = [(i, j, k, l) for i, j, k in combinations_with_replacement(range(n), 3) for l in range(n)]
+        assert (matrix.rows, matrix.cols) == (len(kept), len(cols))
         for c, col in enumerate(cols):
-            assert matrix.column(c) == col
+            value = dict(zip(product(range(n), repeat=4), col))
+            assert matrix.column(c) == tuple(value[idx] for idx in kept)
+            for i, j, k, l in value:
+                assert value[i, j, k, l] == value[(*sorted((i, j, k)), l)]
 
 
 def test_build_twofold_checks_metric_once(monkeypatch):
@@ -340,6 +347,21 @@ def test_h2q_fibered_twisted_module():
     assert ker >= im  # dr2 image inside the gamma-cocycle kernel
     assert all(f.solvable and f.fiber_dim == ker for f in result.fibers)
     assert result.h2q_dim is None
+
+
+def test_h2q_fiber_target_not_symmetric_in_slots_123_is_unsolvable(monkeypatch):
+    # the wedge target is fully symmetric; a substituted wedge with one more
+    # entry off the sorted triples checks that the fiber test does not read
+    # such a target from its sorted-triple rows alone
+    import hjj.quadratic
+
+    alg, qrep = j111_module()
+    wedge_of = hjj.quadratic.wedge
+    bump = ScalarForm.from_entries(alg.dim, 4, {(1, 0, 0, 0): QQ(1)})
+    monkeypatch.setattr(hjj.quadratic, "wedge", lambda f, g, form: wedge_of(f, g, form) + bump)
+    result = compute_H2Q(alg, qrep)
+    nonzero = [f for f in result.fibers if not f.theta.is_zero()]
+    assert nonzero and all(not f.solvable and f.fiber_dim is None for f in nonzero)
 
 
 def test_h2q_linear_when_no_theta_obstruction():
