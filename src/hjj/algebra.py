@@ -21,11 +21,12 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _charpoly,
     _kernel_vectors,
-    charpoly,
+    _minpoly,
+    _powers,
     invert,
     kernel_basis,
-    minpoly,
     rank,
     rational_roots,
     rref,
@@ -367,7 +368,8 @@ def isomorphism_invariants(a: Algebra) -> Invariants:
     z = center(a)
     d1 = series[1] if len(series) > 1 else series[0]
     n = a.dim
-    cp = charpoly(a.alpha)
+    powers = _powers(a.alpha)
+    cp = _charpoly(powers)
     profile = []
     for lam in rational_roots(cp):
         # one RREF of alpha - lam gives the eigenvectors and, from its pivot
@@ -392,7 +394,7 @@ def isomorphism_invariants(a: Algebra) -> Invariants:
         derived_dims=tuple(s.dim for s in series),
         center_dim=z.dim,
         alpha_charpoly=cp,
-        alpha_minpoly=minpoly(a.alpha),
+        alpha_minpoly=_minpoly(powers),
         # the columns of the bracket map S^2 J -> J span D1
         bracket_rank=series[1].dim if len(series) > 1 else n,
         eigen_profile=tuple(profile),

@@ -38,14 +38,14 @@ by summing over the nonzero structure constants (``_structure_tables``) and
 the nonzero entries of rho and beta.  The public operators apply it to a
 cochain's coordinates; compute_H2 takes its kernel and image.
 
-d2 f, and d_r^3 g for g symmetric in its first two slots, are symmetric in
-their first three slots, so the d2 matrix, ``dr3`` on such g and the gamma
-condition of compute_H2Q keep only the rows ``t*w + p`` at the t-th sorted
-triple i <= j <= k (``_triples``), p the V-coordinate (w = m) for d2 and the
-fourth slot (w = n) for d_r^3; ``_expand_sorted`` reads the others back by
-symmetry.  d_r^3 is one six-term rule (``_dr3_terms``), evaluated at every
-4-tuple for other g.  The d1 and d2 matrices, C1 and the C2 constraint are
-built once per representation, and T once per algebra (``_per_object``).
+d2 f, and d_r^3 g (defined for g symmetric in its first two slots only),
+are symmetric in their first three slots, so the d2 matrix, ``dr3`` and the
+gamma condition of compute_H2Q keep only the rows ``t*w + p`` at the t-th
+sorted triple i <= j <= k (``_triples``), p the V-coordinate (w = m) for d2
+and the fourth slot (w = n) for d_r^3; ``_expand_sorted`` reads the others
+back by symmetry.  d_r^3 is one six-term rule (``_dr3_terms``).  The d1 and
+d2 matrices, C1 and the C2 constraint are built once per representation,
+and T once per algebra (``_per_object``).
 """
 
 from __future__ import annotations
@@ -567,18 +567,17 @@ def _dr3_terms(a: Algebra, i: int, j: int, k: int, t: int):
 def dr3(a: Algebra, g: ScalarForm) -> ScalarForm:
     """d_r^3 g(x,y,z,t) = g([x,y],alpha z,t) + g([x,z],alpha y,t)
     + g([y,z],alpha x,t) + g(x,y,[alpha z,t]) + g(y,z,[alpha x,t])
-    + g(x,z,[alpha y,t]), on the rows the module docstring gives."""
+    + g(x,z,[alpha y,t]), for g symmetric in slots 1-2, at the sorted-triple
+    rows the module docstring gives."""
     if g.degree != 3 or g.dim != a.dim:
         raise ValueError("dr3 expects a trilinear form on the algebra")
-    n, gv = a.dim, g.coords
-
-    def value(i, j, k, t):
-        terms = _dr3_terms(a, i, j, k, t)
-        return sum((x * v for x, (p, q, u) in terms if (v := gv[(p * n + q) * n + u])), ZERO)
-
     if not g.is_symmetric12():
-        return ScalarForm(n, 4, tuple(value(*idx) for idx in product(range(n), repeat=4)))
-    rows = [value(i, j, k, t) for (i, j, k), t in product(_triples(n), range(n))]
+        raise NotACochain("dr3 argument is not symmetric in its first two slots")
+    n, gv = a.dim, g.coords
+    rows = [
+        sum((x * v for x, (p, q, u) in _dr3_terms(a, i, j, k, t) if (v := gv[(p * n + q) * n + u])), ZERO)
+        for (i, j, k), t in product(_triples(n), range(n))
+    ]
     return ScalarForm(n, 4, _expand_sorted(n, rows, n, product(range(n), repeat=3)))
 
 

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ContainmentViolation
-from .scalars import ONE, QQ, ZERO, ratio
+from .scalars import ONE, QQ, ZERO
 
 Vector = tuple  # tuple of scalars
 
@@ -234,7 +234,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         r += 1
         if r == nrows:
             break
-    out = [tuple(ZERO if not x else ONE if x == row[c] else ratio(x, row[c]) for x in row)
+    out = [tuple(ZERO if not x else ONE if x == row[c] else Fraction(x, row[c]) for x in row)
            for row, c in zip(rows, pivots)]
     out += [(ZERO,) * ncols] * (nrows - r)
     return Matrix(nrows, ncols, tuple(out)), tuple(pivots)
@@ -289,7 +289,7 @@ def determinant(m: Matrix):
             row, f = rows[i], rows[i][c]
             rows[i] = [(p * row[j] - f * prow[j]) // prev if j > c else 0 for j in range(n)]
         prev = p
-    return ratio(num * prev, den)
+    return Fraction(num * prev, den)
 
 
 def invert(m: Matrix):
@@ -405,9 +405,11 @@ def image_basis(m: Matrix) -> Subspace:
 def quotient_dim(big: Subspace, small: Subspace) -> tuple[int, tuple]:
     """dim(big/small) plus coset representatives completing small inside big.
 
-    Representatives are chosen greedily from big's canonical basis (leftmost
-    pivot first), so the answer is deterministic.  Raises
-    ContainmentViolation when small is not contained in big.
+    The representatives are the vectors of big's canonical basis at the
+    pivot columns of one RREF of the columns ``[small.basis | big.basis]``:
+    each is the leftmost one outside the span of small and those before it,
+    so the answer is deterministic.  Raises ContainmentViolation when small
+    is not contained in big.
     """
     if big.ambient_dim != small.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
@@ -416,14 +418,10 @@ def quotient_dim(big: Subspace, small: Subspace) -> tuple[int, tuple]:
             "small subspace is not contained in the big one (B2 outside Z2 "
             "signals an invalid representation or an upstream bug)"
         )
-    reps = []
-    current = small
-    for v in big.basis:
-        if not current.contains(v):
-            reps.append(v)
-            current = current.sum_with(Subspace.from_spanning(big.ambient_dim, [v]))
-    assert len(reps) == big.dim - small.dim
-    return big.dim - small.dim, tuple(reps)
+    k = small.dim
+    pivots = rref(Matrix.from_columns(small.basis + big.basis))[1]
+    reps = tuple(big.basis[c - k] for c in pivots[k:])
+    return len(reps), reps
 
 
 # ---------------------------------------------------------------------------
@@ -440,31 +438,39 @@ def _powers(m: Matrix) -> list:
 
 
 def charpoly(m: Matrix) -> tuple:
-    """Monic characteristic polynomial, highest degree first.
+    """Monic characteristic polynomial, highest degree first."""
+    if not m.is_square():
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    return _charpoly(_powers(m))
 
-    Newton's identities on the power traces p_k = tr(m^k):
+
+def _charpoly(powers: list) -> tuple:
+    """The characteristic polynomial from ``_powers(m)``, by Newton's
+    identities on the power traces p_k = tr(m^k):
     k c_k = -(c_{k-1} p_1 + ... + c_0 p_k), exact because division is only
     by the integer k.
     """
-    if not m.is_square():
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    traces = [p.trace() for p in _powers(m)]
+    traces = [p.trace() for p in powers]
     coeffs = [ONE]
-    for k in range(1, m.rows + 1):
+    for k in range(1, len(powers)):
         coeffs.append(-sum((coeffs[k - i] * traces[i] for i in range(1, k + 1)), ZERO) / k)
     return tuple(coeffs)
 
 
 def minpoly(m: Matrix) -> tuple:
-    """Monic minimal polynomial, highest degree first.
-
-    One RREF of the n^2 x (n+1) matrix whose columns are the vectorised
-    I, m, ..., m^n: its first non-pivot column k gives the first linear
-    dependence, m^k = sum_i red[i][k] m^i.
-    """
+    """Monic minimal polynomial, highest degree first."""
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
-    red, pivots = rref(Matrix.from_columns([[x for row in p.entries for x in row] for p in _powers(m)]))
+    return _minpoly(_powers(m))
+
+
+def _minpoly(powers: list) -> tuple:
+    """The minimal polynomial from ``_powers(m)``, by one RREF of the
+    n^2 x (n+1) matrix whose columns are the vectorised I, m, ..., m^n: its
+    first non-pivot column k gives the first linear dependence,
+    m^k = sum_i red[i][k] m^i.
+    """
+    red, pivots = rref(Matrix.from_columns([[x for row in p.entries for x in row] for p in powers]))
     k = len(pivots)  # Cayley-Hamilton: column n is dependent, so columns 0..k-1 are the pivots
     return (ONE,) + tuple(-red.entries[i][k] for i in reversed(range(k)))
 
@@ -552,7 +558,7 @@ def rational_roots(poly: Sequence) -> tuple:
         roots.add(ZERO)
         f.pop()
     if len(f) > 1:
-        roots.update(ratio(p, q) for p, q in _positive_roots(f))
+        roots.update(Fraction(p, q) for p, q in _positive_roots(f))
         mirrored = [-a if i % 2 else a for i, a in enumerate(f)]  # f(-x) up to sign
-        roots.update(ratio(-p, q) for p, q in _positive_roots(mirrored))
+        roots.update(Fraction(-p, q) for p, q in _positive_roots(mirrored))
     return tuple(sorted(roots))

@@ -1,37 +1,16 @@
-"""Exact rational scalars with a selectable backend.
+"""Exact rational scalars.
 
-Every number in this package is an arbitrary-precision rational; floating
-point never appears.  Two interchangeable backends are supported:
-
-* ``gmpy2.mpq`` -- C implementation, used by default when gmpy2 imports;
-* ``fractions.Fraction`` -- pure-Python stdlib fallback.
-
-Set ``HJJ_PURE_PYTHON=1`` in the environment to force the fallback.  Both
-types normalise to ``gcd(|num|, den) = 1`` with ``den > 0`` on construction
-and compare/hash equal for equal values, so the backend choice can never
-change a result, only its speed.  ``benchmarks/bench_backends.py`` compares
-the two.
+Every number in this package is a ``fractions.Fraction``; floating point
+never appears.  A Fraction normalises to ``gcd(|num|, den) = 1`` with
+``den > 0`` on construction, so equal values compare and hash equal.
+``BACKEND`` names the scalar type.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-_FORCE_PURE = os.environ.get("HJJ_PURE_PYTHON", "") not in ("", "0")
-
-if not _FORCE_PURE:
-    try:
-        from gmpy2 import mpq as _mpq
-
-        _RAT = _mpq
-        BACKEND = "gmpy2"
-    except ImportError:  # pragma: no cover - exercised via HJJ_PURE_PYTHON
-        _RAT = Fraction
-        BACKEND = "fractions"
-else:
-    _RAT = Fraction
-    BACKEND = "fractions"
+BACKEND = "fractions"
 
 
 def QQ(numerator=0, denominator=None):
@@ -44,16 +23,10 @@ def QQ(numerator=0, denominator=None):
     if isinstance(numerator, float) or isinstance(denominator, float):
         raise TypeError("floats are not exact rationals; pass ints or 'p/q' strings")
     if denominator is not None:
-        return _RAT(numerator) / _RAT(denominator)
+        return Fraction(numerator) / Fraction(denominator)
     if isinstance(numerator, str):
         return _parse_rational(numerator)
-    return _RAT(numerator)
-
-
-def ratio(numerator: int, denominator: int):
-    """The rational numerator/denominator of two ints (denominator nonzero),
-    built once by the backend without QQ's argument checks."""
-    return _RAT(numerator, denominator)
+    return Fraction(numerator)
 
 
 ZERO = QQ(0)
@@ -67,10 +40,10 @@ def _parse_rational(text: str):
         d = int(den)
         if d == 0:
             raise ZeroDivisionError(f"zero denominator in {text!r}")
-        return _RAT(int(num)) / _RAT(d)
-    return _RAT(int(text))
+        return Fraction(int(num)) / Fraction(d)
+    return Fraction(int(text))
 
 
 def format_scalar(x) -> str:
     """Canonical text form: ``"p"`` for integers, ``"p/q"`` otherwise."""
-    return str(_RAT(x))
+    return str(Fraction(x))

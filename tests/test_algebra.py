@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import hjj.algebra
 from hjj import QQ, Matrix
 from hjj.algebra import (
     Algebra,
@@ -23,7 +24,7 @@ from hjj.algebra import (
     isomorphism_invariants,
 )
 from hjj.catalog import DEFAULT_GRID, catalog_list, instantiate
-from hjj.linalg import Subspace, image_basis, kernel_basis, rank
+from hjj.linalg import Subspace, _powers, image_basis, kernel_basis, rank
 
 from .gen import conjugate_algebra, rand_invertible, rand_structure, random_algebra
 from .test_linalg import reference_charpoly, reference_minpoly, reference_rational_roots
@@ -239,3 +240,19 @@ def test_invariants_match_reference_on_random_structures():
             assert inv == reference_invariants(b)
             profiles += bool(inv.eigen_profile)
     assert profiles > 60
+
+
+def test_invariants_build_the_powers_of_alpha_once(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return _powers(m)
+
+    monkeypatch.setattr(hjj.algebra, "_powers", counting)
+    rng = random.Random(37)
+    for n in (1, 2, 3, 4):
+        a = rand_structure(rng, n)
+        calls.clear()
+        assert isomorphism_invariants(a) == reference_invariants(a)
+        assert calls == [a.alpha]

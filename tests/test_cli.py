@@ -1,10 +1,11 @@
+import copy
 import io
 import json
 import signal
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hjj.cli
 
@@ -380,4 +381,85 @@ def test_classify_huge_grids_keep_exit_contract(values):
     with time_limit(20), redirect_stdout(out), redirect_stderr(err):
         code = main(["classify", "--dim", "2", "--grid=" + ",".join(values)])
     assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+# The nine commands that read documents, on the worked example set; each
+# argument ending in ".json" names a file of the ``files`` fixture.
+DOCUMENT_COMMANDS = (
+    ("verify", "algebra.json"),
+    ("cohomology", "--algebra", "algebra.json", "--rep", "rep.json"),
+    ("extend", "--algebra", "algebra.json", "--rep", "rep.json", "--cocycle", "theta.json"),
+    ("equivalent", "--algebra", "algebra.json", "--rep", "rep.json",
+     "--theta1", "theta.json", "--theta2", "zero2.json"),
+    ("metric", "verify", "bad_metric.json"),
+    ("quadratic", "d2q", "--algebra", "algebra.json", "--qrep", "qrep.json",
+     "--theta", "zero2.json", "--gamma", "gamma.json"),
+    ("quadratic", "h2q", "--algebra", "algebra.json", "--qrep", "qrep.json"),
+    ("quadratic", "twofold", "--algebra", "algebra.json", "--qrep", "qrep.json",
+     "--theta", "zero2.json", "--gamma", "gamma.json"),
+    ("quadratic", "equivmap", "--algebra", "algebra.json", "--qrep", "qrep.json",
+     "--tau", "tau.json", "--sigma", "sigma.json"),
+)
+
+# None, a float, a bool, a huge int, a zero denominator, full-width digits,
+# and wrong shapes
+REPLACEMENTS = (None, 0.5, True, 10**400, "1/0", "\uff11\uff12", [], {}, "x", [[]])
+
+
+def _nodes(node, path=()):
+    """The path of every node of a JSON value, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(doc, path, op, replacement):
+    """Delete the node at ``path`` from its dict, duplicate it in its list,
+    or replace it (the root is always replaced)."""
+    if not path:
+        return replacement
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "delete" and isinstance(parent, dict):
+        del parent[key]
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = replacement
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_documents_keep_exit_contract(files, data):
+    command = data.draw(st.sampled_from(DOCUMENT_COMMANDS))
+    slots = [i for i, arg in enumerate(command) if arg.endswith(".json")]
+    docs = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        slot = data.draw(st.sampled_from(slots))
+        doc = docs.get(slot)
+        if doc is None:
+            with open(files[command[slot]]) as fh:
+                doc = json.load(fh)
+        path = data.draw(st.sampled_from(list(_nodes(doc))))
+        op = data.draw(st.sampled_from(("delete", "duplicate", "replace")))
+        docs[slot] = _mutate(doc, path, op, copy.deepcopy(data.draw(st.sampled_from(REPLACEMENTS))))
+    argv = ["--json"] if data.draw(st.booleans()) else []
+    for i, arg in enumerate(command):
+        if i in docs:
+            arg = f"{files['tmp']}/mutated{i}.json"
+            with open(arg, "w") as fh:
+                json.dump(docs[i], fh)
+        elif arg.endswith(".json"):
+            arg = files[arg]
+        argv.append(arg)
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(10), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, docs, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -250,7 +250,9 @@ def test_dr3_matches_six_term_expansion():
         }
         g = ScalarForm.from_entries(n, 3, entries)
         assert not g.is_symmetric12()
-        assert dr3(a, g) == _dr3_six_terms(a, g)
+        # d_r^3 is defined on forms symmetric in slots 1-2 only
+        with pytest.raises(NotACochain):
+            dr3(a, g)
 
 
 def test_dr3_symmetric_forms_match_six_term_expansion():

@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import product
 from math import isqrt, lcm
@@ -224,6 +225,36 @@ def test_quotient_dim_equal_and_zero():
     s = Subspace.from_spanning(3, [(1, 0, 0), (0, 1, 0)])
     assert quotient_dim(s, s)[0] == 0
     assert quotient_dim(s, Subspace.zero(3))[0] == s.dim
+
+
+def reference_quotient_reps(big, small):
+    """Greedy completion: each vector of big's basis, in order, that lies
+    outside the span of small and the vectors picked before it."""
+    reps, current = [], small
+    for v in big.basis:
+        if not current.contains(v):
+            reps.append(v)
+            current = current.sum_with(Subspace.from_spanning(big.ambient_dim, [v]))
+    return tuple(reps)
+
+
+def test_quotient_dim_matches_greedy_reference():
+    rng = random.Random(41)
+    cases = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        vectors = [tuple(rng.choice((0, 0, 1, -1, 2, QQ(1, 3))) for _ in range(n)) for _ in range(rng.randint(0, n + 1))]
+        big = Subspace.from_spanning(n, vectors)
+        picked = [v for v in big.basis if rng.random() < 0.5]
+        coeffs = [[rng.randint(-2, 2) for _ in picked] for _ in picked]
+        combos = [tuple(sum((c * v[j] for c, v in zip(row, picked)), QQ(0)) for j in range(n)) for row in coeffs]
+        for small in (Subspace.from_spanning(n, combos), Subspace.zero(n), big):
+            d, reps = quotient_dim(big, small)
+            assert reps == reference_quotient_reps(big, small)
+            assert d == big.dim - small.dim == len(reps)
+            cases += 1
+    assert quotient_dim(Subspace.zero(3), Subspace.zero(3)) == (0, ())
+    assert cases == 450
 
 
 def test_quotient_containment_violation():
