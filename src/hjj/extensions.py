@@ -17,9 +17,8 @@ from typing import Optional
 from .algebra import Algebra, LinearMapBetweenAlgebras
 from .cohomology import Cochain1, Cochain2, _d1_matrix, _d2_matrix, _triples, cochain1_space, d1
 from .errors import InvalidCocycle, InvalidRepresentation, NotACochain
-from .linalg import Matrix, Subspace, solve, zero_vector
+from .linalg import Matrix, Subspace, block, solve, zero_vector
 from .representations import Representation, check_representation
-from .scalars import QQ, ZERO
 
 
 @dataclass(frozen=True)
@@ -58,9 +57,7 @@ class ExtensionAlgebra:
     fiber_dim: int
 
     def fiber_block(self) -> Subspace:
-        n, m = self.base_dim, self.fiber_dim
-        eye = Matrix.identity(n + m)
-        return Subspace.from_spanning(n + m, [eye.column(n + p) for p in range(m)])
+        return Subspace.from_spanning(self.base_dim + self.fiber_dim, self.inclusion_matrix().columns())
 
     def project_to_base(self) -> Algebra:
         """Quotient data on the J block (round-trips the construction)."""
@@ -76,20 +73,13 @@ class ExtensionAlgebra:
     def projection_map(self) -> LinearMapBetweenAlgebras:
         """The exactness datum pi: M -> J, an algebra homomorphism with
         alpha o pi = pi o alpha_M."""
-        n, m = self.base_dim, self.fiber_dim
-        rows = [
-            tuple(QQ(1) if j == i else ZERO for j in range(n)) + zero_vector(m)
-            for i in range(n)
-        ]
-        return LinearMapBetweenAlgebras(self.algebra, self.project_to_base(), Matrix.from_rows(rows))
+        pi = block([[Matrix.identity(self.base_dim), Matrix.zero(self.base_dim, self.fiber_dim)]])
+        return LinearMapBetweenAlgebras(self.algebra, self.project_to_base(), pi)
 
     def inclusion_matrix(self) -> Matrix:
         """The exactness datum i: V -> M as a coordinate matrix (V is a
         module, not an algebra, so this is a plain matrix)."""
-        n, m = self.base_dim, self.fiber_dim
-        rows = [zero_vector(m) for _ in range(n)]
-        rows += [tuple(QQ(1) if q == p else ZERO for q in range(m)) for p in range(m)]
-        return Matrix.from_rows(rows)
+        return block([[Matrix.zero(self.base_dim, self.fiber_dim)], [Matrix.identity(self.fiber_dim)]])
 
 
 def build_extension(spec: ExtensionSpec) -> ExtensionAlgebra:
@@ -97,23 +87,16 @@ def build_extension(spec: ExtensionSpec) -> ExtensionAlgebra:
     spec.validate()
     a, rep, theta = spec.base, spec.rep, spec.cocycle
     n, m = a.dim, rep.vdim
-    total = n + m
     brackets = {}
     for i in range(n):
         for j in range(i, n):
             brackets[(i, j)] = tuple(a.bracket_basis(i, j)) + tuple(theta.value(i, j))
     for i in range(n):
         for p in range(m):
-            col = rep.rho[i].column(p)
-            brackets[(i, n + p)] = zero_vector(n) + tuple(col)
+            brackets[(i, n + p)] = zero_vector(n) + rep.rho[i].column(p)
     # V is abelian: [V, V] = 0 rows stay zero
-    alpha_rows = []
-    for i in range(n):
-        alpha_rows.append(tuple(a.alpha.row(i)) + zero_vector(m))
-    for p in range(m):
-        alpha_rows.append(zero_vector(n) + tuple(rep.beta.row(p)))
     return ExtensionAlgebra(
-        Algebra.from_brackets(total, brackets, Matrix.from_rows(alpha_rows)),
+        Algebra.from_brackets(n + m, brackets, block([[a.alpha, None], [None, rep.beta]])),
         base_dim=n,
         fiber_dim=m,
     )
@@ -130,13 +113,8 @@ def equivalence_map_from_cochain(spec: ExtensionSpec, h: Cochain1) -> LinearMapB
     shifted = ExtensionSpec(spec.base, spec.rep, spec.cocycle + d1(h))
     source = build_extension(shifted)
     target = build_extension(spec)
-    n, m = spec.base.dim, spec.rep.vdim
-    rows = []
-    for i in range(n):
-        rows.append(tuple(QQ(1) if j == i else ZERO for j in range(n)) + zero_vector(m))
-    for p in range(m):
-        rows.append(tuple(-h.coeffs.entry(p, j) for j in range(n)) + tuple(QQ(1) if q == p else ZERO for q in range(m)))
-    return LinearMapBetweenAlgebras(source.algebra, target.algebra, Matrix.from_rows(rows))
+    phi = block([[Matrix.identity(spec.base.dim), None], [h.coeffs.scale(-1), Matrix.identity(spec.rep.vdim)]])
+    return LinearMapBetweenAlgebras(source.algebra, target.algebra, phi)
 
 
 @dataclass(frozen=True)

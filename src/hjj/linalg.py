@@ -173,15 +173,34 @@ class Matrix:
             total += self.entries[i][i]
         return total
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.rows, self.cols + other.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: entry (i*b.rows + p, j*b.cols + q) is a_ij b_pq."""
     return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(
         tuple(x * y if x and y else ZERO for x in ra for y in rb) for ra in a.entries for rb in b.entries
     ))
+
+
+def block(grid: Sequence[Sequence]) -> Matrix:
+    """The matrix of a grid of Matrix blocks.  ``None`` is a zero block as
+    tall as the other blocks of its block row and as wide as those of its
+    block column; every block row and column needs one Matrix to size it."""
+
+    def size(blocks, attr: str) -> int:
+        sizes = {getattr(b, attr) for b in blocks if b is not None}
+        if len(sizes) != 1:
+            raise ValueError(f"block grid: {len(sizes)} sizes for one block row or column")
+        return sizes.pop()
+
+    heights = [size(row, "rows") for row in grid]
+    widths = [size(col, "cols") for col in zip(*grid)]
+    if any(len(row) != len(widths) for row in grid):
+        raise ValueError("block grid rows differ in length")
+    entries = []
+    for row, h in zip(grid, heights):
+        parts = [((ZERO,) * w,) * h if b is None else b.entries for b, w in zip(row, widths)]
+        entries += [sum(pieces, ()) for pieces in zip(*parts)]
+    return Matrix(sum(heights), sum(widths), tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +269,7 @@ def solve(m: Matrix, rhs: Vector):
     Free variables are set to zero (leftmost-pivot rule), so the returned
     solution is deterministic.
     """
-    aug = m.hstack(Matrix.from_columns([rhs]))
-    red, pivots = rref(aug)
+    red, pivots = rref(block([[m, Matrix.from_columns([rhs])]]))
     if m.cols in pivots:
         return None
     x = [ZERO] * m.cols
@@ -296,7 +314,7 @@ def invert(m: Matrix):
     """Exact inverse, or None when singular."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
-    red, pivots = rref(m.hstack(Matrix.identity(m.rows)))
+    red, pivots = rref(block([[m, Matrix.identity(m.rows)]]))
     if len(pivots) < m.rows or any(p >= m.rows for p in pivots):
         return None
     return Matrix(m.rows, m.rows, tuple(r[m.rows:] for r in red.entries))

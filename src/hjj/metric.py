@@ -135,14 +135,18 @@ class CriterionReport:
 def metric_criterion(m: MetricAlgebra, report: Optional[MetricReport] = None) -> CriterionReport:
     """gamma fully symmetric and d_r^3 gamma = 0, with the equivalence to
     the axiom side evaluated on the same input.  ``report`` is
-    ``check_metric(m)`` when the caller already has it."""
+    ``check_metric(m)`` when the caller already has it.
+
+    gamma(x, y, z) = B([x, y], z) is symmetric in slots 1-2 because the
+    bracket is, and invariance is gamma(j, k, i) = gamma(i, j, k) at every
+    triple; a transposition and a 3-cycle generate S_3, so gamma is fully
+    symmetric exactly when invariance passes."""
     if report is None:
         report = check_metric(m)
-    gamma = gamma_form(m)
     return CriterionReport(
         hom_invariance=report.hom_invariance,
-        gamma_symmetric=gamma.is_fully_symmetric(),
-        dr3_gamma_zero=dr3(m.algebra, gamma).is_zero(),
+        gamma_symmetric=report.invariance.passed,
+        dr3_gamma_zero=dr3(m.algebra, gamma_form(m)).is_zero(),
         axioms_passed=report.axioms_passed,
     )
 

@@ -48,7 +48,7 @@ from .cohomology import (
     scalar3_sym12_to_vector,
 )
 from .errors import ContainmentViolation, NotACochain, PreconditionFailure
-from .linalg import Matrix, Subspace, image_basis, kernel_basis, zero_vector
+from .linalg import Matrix, Subspace, block, image_basis, kernel_basis, zero_vector
 from .metric import MetricAlgebra, check_metric, is_isotropic, metric_criterion
 from .representations import (
     QuadraticRepresentation,
@@ -56,7 +56,7 @@ from .representations import (
     check_representation,
     coadjoint_conditions_extended,
 )
-from .scalars import ONE, QQ, ZERO
+from .scalars import QQ, ZERO
 
 # (2,2)- and (1,2)-shuffles: permutations increasing on each block
 _SH22 = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
@@ -286,10 +286,9 @@ class TwofoldExtension:
     qrep: QuadraticRepresentation
 
     def dual_block(self) -> Subspace:
-        total = self.metric.algebra.dim
-        eye = Matrix.identity(total)
-        start = self.base_dim + self.module_dim
-        return Subspace.from_spanning(total, [eye.column(start + i) for i in range(self.base_dim)])
+        n = self.base_dim
+        span = block([[Matrix.zero(n, n + self.module_dim), Matrix.identity(n)]])
+        return Subspace.from_spanning(self.metric.algebra.dim, span.entries)
 
 
 def build_twofold(
@@ -338,52 +337,33 @@ def _assemble_twofold(
     a: Algebra, qrep: QuadraticRepresentation, theta: Cochain2, gamma: ScalarForm
 ) -> TwofoldExtension:
     """The raw bracket/twist/form tables on J + a + J*, no hypothesis gate."""
-    rep = qrep.rep
+    rep, form = qrep.rep, qrep.form
     n, m = a.dim, rep.vdim
-    total = n + m + n
+    pos = _pair_positions(n)
+    theta_b = (_pair_values(theta) @ form).entries  # row pos[k, i]: B_a(theta(e_k, e_i), .)
+    rho_b = [(r.transpose() @ form).entries for r in rep.rho]  # rho_b[i][p]: B_a(rho(e_i) v_p, .)
     brackets = {}
     for i in range(n):
         for j in range(i, n):
-            jpart = tuple(a.bracket_basis(i, j))
-            apart = tuple(theta.value(i, j))
             dpart = tuple(gamma.value(i, j, k) for k in range(n))
-            brackets[(i, j)] = jpart + apart + dpart
+            brackets[(i, j)] = a.bracket_basis(i, j) + theta.value(i, j) + dpart
     for i in range(n):
         for p in range(m):
-            apart = tuple(rep.rho[i].column(p))
-            dpart = tuple(
-                qrep.pair(theta.value(k, i), _unit(m, p)) for k in range(n)
-            )
-            brackets[(i, n + p)] = zero_vector(n) + apart + dpart
+            dpart = tuple(theta_b[pos[k, i]][p] for k in range(n))
+            brackets[(i, n + p)] = zero_vector(n) + rep.rho[i].column(p) + dpart
     for p in range(m):
         for q in range(p, m):
-            dpart = tuple(
-                qrep.pair(rep.rho[i].column(p), _unit(m, q)) for i in range(n)
-            )
-            brackets[(n + p, n + q)] = zero_vector(n + m) + dpart
+            brackets[(n + p, n + q)] = zero_vector(n + m) + tuple(rho_b[i][p][q] for i in range(n))
     for i in range(n):
         for j in range(n):
             # [e_i^*, e_j] = sum_k c[j][k][i] e_k^*
             dpart = tuple(a.bracket_tensor[j][k][i] for k in range(n))
             brackets[(j, n + m + i)] = zero_vector(n + m) + dpart
-    alpha_rows = []
-    for i in range(n):
-        alpha_rows.append(tuple(a.alpha.row(i)) + zero_vector(m + n))
-    for p in range(m):
-        alpha_rows.append(zero_vector(n) + tuple(rep.beta.row(p)) + zero_vector(n))
-    alpha_t = a.alpha.transpose()
-    for i in range(n):
-        alpha_rows.append(zero_vector(n + m) + tuple(alpha_t.row(i)))
-    form_rows = []
-    for i in range(n):
-        form_rows.append(zero_vector(n + m) + tuple(ONE if j == i else ZERO for j in range(n)))
-    for p in range(m):
-        form_rows.append(zero_vector(n) + tuple(qrep.form.row(p)) + zero_vector(n))
-    for i in range(n):
-        form_rows.append(tuple(ONE if j == i else ZERO for j in range(n)) + zero_vector(m + n))
-    algebra = Algebra.from_brackets(total, brackets, Matrix.from_rows(alpha_rows))
-    metric = MetricAlgebra(algebra, Matrix.from_rows(form_rows))
-    return TwofoldExtension(metric, n, m, theta, gamma, qrep)
+    twist = block([[a.alpha, None, None], [None, rep.beta, None], [None, None, a.alpha.transpose()]])
+    eye = Matrix.identity(n)
+    hyperbolic = block([[None, None, eye], [None, form, None], [eye, None, None]])
+    algebra = Algebra.from_brackets(n + m + n, brackets, twist)
+    return TwofoldExtension(MetricAlgebra(algebra, hyperbolic), n, m, theta, gamma, qrep)
 
 
 def _verify_twofold(result: TwofoldExtension):
@@ -404,10 +384,6 @@ def _verify_twofold(result: TwofoldExtension):
     dual = SubspaceOfAlgebra(algebra, result.dual_block())
     if not (is_ideal(algebra, dual) and is_isotropic(metric, dual)):
         raise PreconditionFailure("dual block is not an isotropic ideal", identity="output-dual-block")
-
-
-def _unit(m: int, p: int):
-    return tuple(ONE if q == p else ZERO for q in range(m))
 
 
 def _require(report, label: str):
@@ -483,26 +459,13 @@ def twofold_equivalence_map(
     _verify_twofold(target)
     _verify_twofold(source)
 
-    total = n + m + n
-    rows = []
-    for i in range(n):
-        rows.append(tuple(ONE if j == i else ZERO for j in range(n)) + zero_vector(m + n))
-    for p in range(m):
-        rows.append(
-            tuple(-tau.coeffs.entry(p, j) for j in range(n))
-            + tuple(ONE if q == p else ZERO for q in range(m))
-            + zero_vector(n)
-        )
-    half = QQ(1, 2)
-    for j in range(n):
-        jpart = tuple(
-            -sigma.value(i, j) - half * qrep.pair(tau.value(i), tau.value(j)) for i in range(n)
-        )
-        apart = tuple(qrep.pair(_unit(m, p), tau.value(j)) for p in range(m))
-        rows.append(jpart + apart + tuple(ONE if k == j else ZERO for k in range(n)))
-    phi = LinearMapBetweenAlgebras(
-        source.metric.algebra, target.metric.algebra, Matrix.from_rows(rows)
-    )
+    # rows J, a, J* of Phi; Sigma_ij = sigma(e_i, e_j) and B_a is symmetric
+    tau_b = (qrep.form @ tau.coeffs).transpose()  # row j: B_a(tau(e_j), .)
+    sigma_m = Matrix(n, n, tuple(sigma.coords[i * n:(i + 1) * n] for i in range(n)))
+    dual_j = (sigma_m + (tau_b @ tau.coeffs).scale(QQ(1, 2))).transpose().scale(-1)
+    eye = Matrix.identity(n)
+    matrix = block([[eye, None, None], [tau.coeffs.scale(-1), Matrix.identity(m), None], [dual_j, tau_b, eye]])
+    phi = LinearMapBetweenAlgebras(source.metric.algebra, target.metric.algebra, matrix)
     hom = check_homomorphism(phi)
     b = target.metric.form
     isometry = (phi.matrix.transpose() @ b @ phi.matrix) == source.metric.form

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import hjj.cli
 
 from hjj import QQ, Matrix
-from hjj.catalog import instantiate
+from hjj.catalog import catalog_list, instantiate
 from hjj.cli import main
 from hjj.cohomology import Cochain1, Cochain2, ScalarForm
 from hjj.documents import (
@@ -462,4 +462,70 @@ def test_mutated_documents_keep_exit_contract(files, data):
     with time_limit(10), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), (argv, docs, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# rationals of up to 40 digits, and parameter or grid values that are not
+# rationals of the strict "p/q" syntax
+rationals40 = st.builds(
+    lambda p, q: f"{p}/{q}" if q > 1 else str(p),
+    st.integers(-(10**40 - 1), 10**40 - 1),
+    st.integers(1, 10**40 - 1),
+)
+BAD_VALUES = ("", " ", "1/0", "0.5", "1e3", "x", "\uff11", "--", "-", "1//2", "+")
+# flags no command has, help, a stray separator, and flags of other commands
+STRAY_FLAGS = ("--bogus", "-z", "-h", "--", "--json", "--dim", "--grid", "--params", "-o", "--representatives")
+
+
+def _argv_fragments(files, data):
+    """One catalog, classify or document-reading command line whose
+    non-path arguments are drawn from valid and, about a quarter of the
+    time, invalid values."""
+    value = st.one_of(rationals40, rationals40, rationals40, st.sampled_from(BAD_VALUES))
+    out = data.draw(st.sampled_from((None, None, f"{files['tmp']}/out.json", f"{files['tmp']}/missing/out.json")))
+    output = ["-o", out] if out else []
+    kind = data.draw(st.sampled_from(("instantiate", "verify", "classify", "document")))
+    if kind == "classify":
+        dim = data.draw(st.sampled_from(("2", "2", "2", "2", "3", "4", "x", "")))
+        grid = ",".join(data.draw(st.lists(value, min_size=1, max_size=3)))
+        return ["classify", "--dim", dim, "--grid", grid] + output
+    if kind == "document":
+        command = data.draw(st.sampled_from(DOCUMENT_COMMANDS))
+        argv = [files[arg] if arg.endswith(".json") else arg for arg in command]
+        return argv + (output if "extend" in command or "twofold" in command else [])
+    entry = data.draw(st.sampled_from(catalog_list()))
+    name = data.draw(st.sampled_from((entry.name,) * 4 + (entry.name[:-1], "J^{99}_{1,1}", "")))
+    names = entry.params + data.draw(st.sampled_from(((), (), (), ("z",), ("",), (" a",))))
+    params = ",".join(f"{n}={data.draw(value)}" for n in names)
+    return ["catalog", kind, name, "--params", params] + (output if kind == "instantiate" else [])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_argv_keeps_exit_contract(files, monkeypatch, data):
+    """Catalog entry names and --params text, --dim, classify --grid (at most
+    3 values of up to 40 digits), -o paths into a missing directory, and
+    dropped, duplicated and unknown flags: argparse's SystemExit code counts
+    as the exit code."""
+    monkeypatch.delenv(hjj.cli.GRID_ENV, raising=False)
+    argv = _argv_fragments(files, data)
+    for _ in range(data.draw(st.integers(0, 2))):
+        op = data.draw(st.sampled_from(("drop", "duplicate", "insert")))
+        i = data.draw(st.integers(0, len(argv) - 1)) if argv else 0
+        if op == "drop" and argv:
+            del argv[i]
+        elif op == "duplicate" and argv:
+            argv.insert(i, argv[i])
+        else:
+            argv.insert(i, data.draw(st.sampled_from(STRAY_FLAGS)))
+    if data.draw(st.booleans()):
+        argv.insert(0, "--json")
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(10), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

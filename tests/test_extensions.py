@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -21,9 +22,10 @@ from hjj.extensions import (
     equivalence_map_from_cochain,
     extensions_equivalent,
 )
+from hjj.linalg import Subspace
 from hjj.representations import Representation
 
-from .gen import random_cochain1, random_pair
+from .gen import rand_scalar, random_cochain1, random_pair
 
 
 def abelian1_spec(theta_value=1, a=2, b=4):
@@ -206,3 +208,44 @@ def test_extension_multiplicative_when_base_is():
             built.algebra, SubspaceOfAlgebra(built.algebra, built.fiber_block())
         )
         assert built.project_to_base() == base
+
+
+def test_extension_tables_and_maps_match_entrywise_reference():
+    """The bracket, twist, exactness maps, fiber block and equivalence map
+    of J + V against the module docstring's formulas, entry by entry, for
+    random pairs, a random cocycle theta and a random witness h."""
+    rng = random.Random(43)
+    for _ in range(12):
+        base, rep = random_pair(rng)
+        n, m = base.dim, rep.vdim
+        theta = Cochain2.zero(rep)
+        for v in compute_H2(rep).z2.basis:
+            theta = theta + Cochain2.from_vector(rep, v).scale(rand_scalar(rng))
+        spec = ExtensionSpec(base, rep, theta)
+        built = build_extension(spec)
+        total = n + m
+        zero = QQ(0)
+        # [x + v, y + w] = [x, y]_J + rho(x) w + rho(y) v + theta(x, y); twist alpha + beta
+        bracket = [[[zero] * total for _ in range(total)] for _ in range(total)]
+        twist = [[zero] * total for _ in range(total)]
+        for i, j in product(range(n), repeat=2):
+            bracket[i][j] = list(base.bracket_basis(i, j)) + list(theta.value(i, j))
+            twist[i][j] = base.alpha.entry(i, j)
+        for i, p, q in product(range(n), range(m), range(m)):
+            bracket[i][n + p][n + q] = bracket[n + p][i][n + q] = rep.rho[i].entry(q, p)
+        for p, q in product(range(m), repeat=2):
+            twist[n + p][n + q] = rep.beta.entry(p, q)
+        assert built.algebra.bracket_tensor == tuple(tuple(map(tuple, rows)) for rows in bracket)
+        assert built.algebra.alpha == Matrix.from_rows(twist)
+        # pi(x + v) = x, i(v) = v, and the fiber block is V
+        pi = [[QQ(int(c == r)) for c in range(total)] for r in range(n)]
+        inc = [[QQ(int(r == n + c)) for c in range(m)] for r in range(total)]
+        assert built.projection_map().matrix == Matrix(n, total, tuple(map(tuple, pi)))
+        assert built.inclusion_matrix() == Matrix(total, m, tuple(map(tuple, inc)))
+        assert built.fiber_block() == Subspace.from_spanning(total, [[QQ(int(r == n + p)) for r in range(total)] for p in range(m)])
+        # Phi(x + v) = x - h(x) + v
+        h = random_cochain1(rng, rep)
+        phi = [[QQ(int(r == c)) for c in range(total)] for r in range(total)]
+        for p, j in product(range(m), range(n)):
+            phi[n + p][j] = -h.coeffs.entry(p, j)
+        assert equivalence_map_from_cochain(spec, h).matrix == Matrix(total, total, tuple(map(tuple, phi)))

@@ -13,6 +13,7 @@ from hjj.errors import ContainmentViolation
 from hjj.linalg import (
     Matrix,
     Subspace,
+    block,
     charpoly,
     determinant,
     image_basis,
@@ -289,6 +290,38 @@ def test_kron():
         assert k.entry(i * 3 + p, j * 2 + q) == a.entry(i, j) * b.entry(p, q)
     empty = kron(Matrix.identity(2), Matrix.zero(0, 0))
     assert (empty.rows, empty.cols) == (0, 0)
+
+
+def test_block_matches_entrywise_placement():
+    """block against placing every entry of every block at its offset, on
+    random grids with None blocks and zero-height or zero-width blocks."""
+    rng = random.Random(17)
+    for _ in range(300):
+        heights = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        widths = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        # one Matrix in every block row and column sizes it; any other block may be None
+        sized = {(r, rng.randrange(len(widths))) for r in range(len(heights))}
+        sized |= {(rng.randrange(len(heights)), c) for c in range(len(widths))}
+        grid = [
+            [
+                Matrix(h, w, tuple(tuple(QQ(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(w)) for _ in range(h)))
+                if (r, c) in sized or rng.random() < 0.5 else None
+                for c, w in enumerate(widths)
+            ]
+            for r, h in enumerate(heights)
+        ]
+        expected = [[QQ(0)] * sum(widths) for _ in range(sum(heights))]
+        for r, c in product(range(len(heights)), range(len(widths))):
+            if grid[r][c] is not None:
+                for i, j in product(range(heights[r]), range(widths[c])):
+                    expected[sum(heights[:r]) + i][sum(widths[:c]) + j] = grid[r][c].entry(i, j)
+        assert block(grid) == Matrix(sum(heights), sum(widths), tuple(map(tuple, expected)))
+    with pytest.raises(ValueError):
+        block([[Matrix.identity(2), None], [None, None]])  # block column 1 unsized
+    with pytest.raises(ValueError):
+        block([[Matrix.identity(2), Matrix.zero(3, 1)]])  # heights disagree
+    with pytest.raises(ValueError):
+        block([[Matrix.identity(2), Matrix.identity(2)], [Matrix.identity(2)]])  # ragged
 
 
 def test_charpoly_minpoly():

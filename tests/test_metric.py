@@ -265,6 +265,8 @@ def test_criterion_iff_randomized():
         # invariance from its definition, so the iff does not compare gamma with itself
         invariant = not dense_invariance_violations(candidate)
         assert invariant == report.invariance.passed
+        # the criterion reads full symmetry from invariance; check it directly
+        assert gamma_form(candidate).is_fully_symmetric() == invariant
         axiom_side = invariant and report.hom_jacobi.passed and report.coadjoint.passed
         criterion_side = crit.gamma_symmetric and crit.dr3_gamma_zero
         assert axiom_side == criterion_side

@@ -21,9 +21,10 @@ from hjj.cohomology import (
     scalar2_from_vector,
 )
 from hjj.errors import PreconditionFailure
-from hjj.linalg import bilinear, vec_add, vec_scale, zero_vector
+from hjj.linalg import Subspace, bilinear, determinant, invert, vec_add, vec_scale, zero_vector
 from hjj.metric import check_metric, gamma_form, is_isotropic, metric_criterion
 from hjj.quadratic import (
+    _assemble_twofold,
     _gamma_matrix,
     QuadraticCochain1,
     QuadraticCochain2,
@@ -37,7 +38,7 @@ from hjj.quadratic import (
 )
 from hjj.representations import QuadraticRepresentation, Representation
 
-from .gen import rand_matrix, rand_scalar, rand_structure, random_quadratic
+from .gen import rand_matrix, rand_scalar, rand_structure, random_cochain1, random_quadratic, sym12_form
 
 
 def dim1_setup(alpha=1, beta=1, b_a=1):
@@ -568,3 +569,98 @@ def test_twofold_equivalence_symmetric_sigma_breaks_isometry():
     assert eq.homomorphism.passed
     assert not eq.isometry
     assert not eq.verified
+
+
+def _unit_rows(size, start, count):
+    """Rows e_{start}, ..., e_{start + count - 1} of QQ^size."""
+    return [[QQ(int(c == start + r)) for c in range(size)] for r in range(count)]
+
+
+def test_twofold_tables_match_entrywise_reference():
+    """_assemble_twofold's bracket tensor, twist, form and dual block against
+    build_twofold's docstring, entry by entry, on random rho, beta, B_a,
+    theta and gamma (the assembly has no hypothesis gate):
+    [x, y] = [x, y]_J + theta(x, y) + gamma(x, y, .),
+    [x, v] = rho(x) v + B_a(theta(., x), v), [v, w] = B_a(rho(.) v, w),
+    [Z, x] = Z([x, .]), twist alpha + beta + (Z |-> Z o alpha), form pairing
+    J with J* hyperbolically and B_a on a.  Each rho(e_i) = B_a^-1 S_i with
+    S_i symmetric is B_a-self-adjoint, so that [v, w] is symmetric."""
+    rng = random.Random(83)
+    for _ in range(20):
+        n, m = rng.choice((2, 3)), rng.choice((1, 2))
+        a = rand_structure(rng, n)
+        form = Matrix.zero(m, m)
+        while determinant(form) == 0:
+            half = rand_matrix(rng, m, m)
+            form = half + half.transpose()
+        rho = []
+        for _ in range(n):
+            half = rand_matrix(rng, m, m)
+            rho.append(invert(form) @ (half + half.transpose()))
+        rep = Representation(a, m, tuple(rho), rand_matrix(rng, m, m))
+        qrep = QuadraticRepresentation(rep, form)
+        theta = Cochain2.from_vector(rep, [rand_scalar(rng) for _ in range(len(pairs(n)) * m)])
+        gamma = sym12_form(n, [rand_scalar(rng) for _ in range(len(pairs(n)) * n)])
+        built = _assemble_twofold(a, qrep, theta, gamma)
+        total, d = 2 * n + m, n + m  # J* starts at d
+        bracket = [[[QQ(0)] * total for _ in range(total)] for _ in range(total)]
+
+        def put(x, y, k, value):
+            bracket[x][y][k] = bracket[y][x][k] = value
+
+        for i, j, k in product(range(n), repeat=3):
+            put(i, j, k, a.bracket_tensor[i][j][k])
+            put(i, j, d + k, gamma.value(i, j, k))
+            put(d + i, j, d + k, a.bracket_tensor[j][k][i])
+        for i, j, p in product(range(n), range(n), range(m)):
+            put(i, j, n + p, theta.value(i, j)[p])
+            put(i, n + p, d + j, sum(theta.value(j, i)[q] * form.entry(q, p) for q in range(m)))
+        for i, p, q in product(range(n), range(m), range(m)):
+            put(i, n + p, n + q, rep.rho[i].entry(q, p))
+            put(n + p, n + q, d + i, sum(rep.rho[i].entry(s, p) * form.entry(s, q) for s in range(m)))
+        twist = [[QQ(0)] * total for _ in range(total)]
+        metric = [[QQ(0)] * total for _ in range(total)]
+        for i, j in product(range(n), repeat=2):
+            twist[i][j] = a.alpha.entry(i, j)
+            twist[d + j][d + i] = a.alpha.entry(i, j)  # e_i^* o alpha = sum_j alpha_ij e_j^*
+        for p, q in product(range(m), repeat=2):
+            twist[n + p][n + q] = rep.beta.entry(p, q)
+            metric[n + p][n + q] = form.entry(p, q)
+        for i in range(n):
+            metric[i][d + i] = metric[d + i][i] = QQ(1)
+        assert built.metric.algebra.bracket_tensor == tuple(tuple(map(tuple, rows)) for rows in bracket)
+        assert built.metric.algebra.alpha == Matrix.from_rows(twist)
+        assert built.metric.form == Matrix.from_rows(metric)
+        assert built.dual_block() == Subspace.from_spanning(total, _unit_rows(total, d, n))
+
+
+def test_twofold_equivalence_map_matches_entrywise_reference():
+    """Phi(x + v + Z) = x + (v - tau(x))
+    + (Z - sigma(x, .) - 1/2 B_a(tau(x), tau(.)) + B_a(v, tau(.)))
+    entry by entry, for random tau and random nonzero antisymmetric sigma
+    (so sigma and its transpose differ)."""
+    rng = random.Random(89)
+    checked = 0
+    while checked < 12:
+        alg, qrep = random_quadratic(rng)
+        tau = random_cochain1(rng, qrep.rep)
+        x = rand_scalar(rng)
+        if tau.coeffs.is_zero() or x == 0:
+            continue
+        n, m, form = alg.dim, qrep.rep.vdim, qrep.form
+        sigma = ScalarForm.from_entries(n, 2, {(0, 1): x, (1, 0): -x})
+        eq = twofold_equivalence_map(alg, qrep, tau, sigma)
+        total, d = 2 * n + m, n + m
+        phi = _unit_rows(total, 0, total)  # columns are the images of the basis
+
+        def pair(v, w):
+            return sum(v[p] * form.entry(p, q) * w[q] for p in range(m) for q in range(m))
+
+        for j in range(n):
+            for p in range(m):
+                phi[n + p][j] = -tau.value(j)[p]
+                phi[d + j][n + p] = pair(tau.value(j), [QQ(int(q == p)) for q in range(m)])
+            for i in range(n):
+                phi[d + i][j] = -sigma.value(j, i) - QQ(1, 2) * pair(tau.value(j), tau.value(i))
+        assert eq.map.matrix == Matrix.from_rows(phi)
+        checked += 1
