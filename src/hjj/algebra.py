@@ -363,39 +363,42 @@ def _meet_dim(u: list, w: list) -> int:
     return len(u) + len(w) - rank(Matrix.from_rows(list(u) + list(w)))
 
 
-def isomorphism_invariants(a: Algebra) -> Invariants:
-    series = derived_series(a)
-    z = center(a)
-    d1 = series[1] if len(series) > 1 else series[0]
-    n = a.dim
-    powers = _powers(a.alpha)
+def _spectrum(alpha: Matrix) -> tuple:
+    """The twist's part of the invariants: ``(charpoly, minpoly, eigenspaces)``, with one
+    ``(lam, eigenvectors, image basis of alpha - lam)`` per rational eigenvalue lam."""
+    powers = _powers(alpha)
     cp = _charpoly(powers)
-    profile = []
+    eigenspaces = []
     for lam in rational_roots(cp):
         # one RREF of alpha - lam gives the eigenvectors and, from its pivot
         # columns, a basis of the image
-        shifted = a.alpha - Matrix.identity(n).scale(lam)
+        shifted = alpha - Matrix.identity(alpha.rows).scale(lam)
         red, pivots = rref(shifted)
-        eig = _kernel_vectors(red, pivots)
-        image = [shifted.column(c) for c in pivots]
+        eigenspaces.append((lam, tuple(_kernel_vectors(red, pivots)), tuple(shifted.column(c) for c in pivots)))
+    return cp, _minpoly(powers), tuple(eigenspaces)
+
+
+def _bracket_invariants(a: Algebra, spectrum: tuple, structure: tuple) -> Invariants:
+    """The invariants of a from ``_spectrum(a.alpha)`` and ``(derived_series(a), center(a))``."""
+    cp, mp, eigenspaces = spectrum
+    series, z = structure
+    d1 = series[1] if len(series) > 1 else series[0]
+    profile = []
+    for lam, eig, image in eigenspaces:
         brackets = [a.bracket(u, v) for bi, u in enumerate(eig) for v in eig[bi:]]
-        profile.append(
-            (
-                lam,
-                len(eig),
-                rank(Matrix.from_rows(brackets)),
-                _meet_dim(eig, z.basis),
-                _meet_dim(eig, d1.basis),
-                _meet_dim(image, d1.basis),
-            )
-        )
+        profile.append((lam, len(eig), rank(Matrix.from_rows(brackets)), _meet_dim(eig, z.basis),
+                        _meet_dim(eig, d1.basis), _meet_dim(image, d1.basis)))
     return Invariants(
-        dim=n,
+        dim=a.dim,
         derived_dims=tuple(s.dim for s in series),
         center_dim=z.dim,
         alpha_charpoly=cp,
-        alpha_minpoly=_minpoly(powers),
+        alpha_minpoly=mp,
         # the columns of the bracket map S^2 J -> J span D1
-        bracket_rank=series[1].dim if len(series) > 1 else n,
+        bracket_rank=d1.dim,
         eigen_profile=tuple(profile),
     )
+
+
+def isomorphism_invariants(a: Algebra) -> Invariants:
+    return _bracket_invariants(a, _spectrum(a.alpha), (derived_series(a), center(a)))

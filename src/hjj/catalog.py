@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .algebra import Algebra, Invariants, isomorphism_invariants, check_hom_jacobi, check_multiplicative, is_regular
+from .algebra import Algebra, Invariants, _bracket_invariants, _spectrum, center, derived_series
+from .algebra import check_hom_jacobi, check_multiplicative, is_regular
 from .cohomology import Cochain2, compute_H2
 from .errors import MissingParameter, UnknownEntry
 from .extensions import ExtensionSpec, build_extension
@@ -450,18 +451,41 @@ def _admissible_points(entry: CatalogEntry, grid) -> list:
     return points
 
 
-def _catalog_index(dim: int, grid) -> dict:
-    """{Invariants: names} over every admissible grid point of the catalog
-    entries of this dimension.  Each point's invariants are computed once;
-    names keep catalog order and appear once per key."""
+def _invariants(algebra: Algebra, spectra: dict, structures: dict) -> Invariants:
+    """``isomorphism_invariants(algebra)``, with the twist's spectrum looked
+    up in ``spectra`` (keyed on alpha) and the ``(derived series, center)``
+    in ``structures`` (keyed on the bracket tensor), each computed on a miss.
+    The caller owns both dicts, so nothing outlives its call."""
+    if algebra.bracket_tensor not in structures:
+        structures[algebra.bracket_tensor] = (derived_series(algebra), center(algebra))
+    return _bracket_invariants(algebra, _spectrum_in(spectra, algebra.alpha), structures[algebra.bracket_tensor])
+
+
+def _spectrum_in(spectra: dict, alpha: Matrix) -> tuple:
+    if alpha not in spectra:
+        spectra[alpha] = _spectrum(alpha)
+    return spectra[alpha]
+
+
+def _catalog_index(dim: int, grid, wanted: set, spectra: dict, structures: dict) -> dict:
+    """{Invariants: names} over the admissible grid points of this dimension's catalog
+    entries, for the invariants in ``wanted`` only.  A point whose twist's (charpoly,
+    minpoly) is no wanted one's is skipped before any bracket work: equal invariants have
+    equal polynomials.  Names keep catalog order and appear once per key."""
+    polys = {(inv.alpha_charpoly, inv.alpha_minpoly) for inv in wanted}
     index = {}
     for entry in _CATALOG:
         if entry.dim != dim:
             continue
         for values in _admissible_points(entry, grid):
-            names = index.setdefault(isomorphism_invariants(entry.instantiate(values)), [])
-            if entry.name not in names:
-                names.append(entry.name)
+            algebra = entry.instantiate(values)
+            if _spectrum_in(spectra, algebra.alpha)[:2] not in polys:
+                continue
+            inv = _invariants(algebra, spectra, structures)
+            if inv in wanted:
+                names = index.setdefault(inv, [])
+                if entry.name not in names:
+                    names.append(entry.name)
     return {inv: tuple(names) for inv, names in index.items()}
 
 
@@ -470,7 +494,9 @@ def match_catalog(algebra: Algebra, grid=DEFAULT_GRID) -> tuple:
     grid point, looked up in an invariant index built for this call.
     Equality of invariants never claims isomorphism; a match is 'possibly
     isomorphic', a non-match is a certificate of difference."""
-    return _catalog_index(algebra.dim, grid).get(isomorphism_invariants(algebra), ())
+    spectra, structures = {}, {}
+    inv = _invariants(algebra, spectra, structures)
+    return _catalog_index(algebra.dim, grid, {inv}, spectra, structures).get(inv, ())
 
 
 def _abelian1(a) -> Algebra:
@@ -534,12 +560,12 @@ def classify(dim_target: int, grid=DEFAULT_GRID) -> list:
         raw = _classify3(grid)
     else:
         raise ValueError("classification is implemented for dimensions 2 and 3")
-    index = _catalog_index(dim_target, grid)
-    outputs = []
-    for algebra, provenance in raw:
-        inv = isomorphism_invariants(algebra)
-        outputs.append(ClassifyOutput(algebra, provenance, inv, index.get(inv, ())))
-    return outputs
+    # each distinct twist's spectrum and bracket's (derived series, center)
+    # is computed once per call, for the outputs and the catalog points alike
+    spectra, structures = {}, {}
+    invariants = [_invariants(algebra, spectra, structures) for algebra, _ in raw]
+    index = _catalog_index(dim_target, grid, set(invariants), spectra, structures)
+    return [ClassifyOutput(alg, info, inv, index.get(inv, ())) for (alg, info), inv in zip(raw, invariants)]
 
 
 def _classify2(grid) -> list:

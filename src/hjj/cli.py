@@ -16,7 +16,7 @@ import sys
 
 from . import documents as docs
 from .algebra import check_hom_jacobi, check_multiplicative, is_regular
-from .catalog import DEFAULT_GRID, catalog_list, classify, instantiate, verify_entry
+from .catalog import DEFAULT_GRID, catalog_entry, catalog_list, classify, instantiate, verify_entry
 from .cohomology import compute_H2
 from .errors import HJJError, ParseError, SchemaError
 from .extensions import ExtensionSpec, build_extension, extensions_equivalent
@@ -48,6 +48,12 @@ def _algebra(path: str):
     return docs.algebra_from_payload(_load(path, "algebra").payload)
 
 
+def _check_output(path):
+    """Fail before any computation when -o names a file in a missing directory."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise SchemaError(f"cannot write {path}: no such directory", field="-o")
+
+
 def _write(path: str, doc: docs.Document):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(docs.emit_document(doc))
@@ -60,7 +66,9 @@ def _rational(text: str, field: str):
         raise SchemaError(f"bad rational {text!r}", field=field) from exc
 
 
-def _parse_params(text: str) -> dict:
+def _parse_params(text: str, entry_name: str) -> dict:
+    """name=value pairs of the entry's parameters; an unknown or repeated name is a usage error."""
+    names = catalog_entry(entry_name).params
     params = {}
     if not text:
         return params
@@ -68,7 +76,12 @@ def _parse_params(text: str) -> dict:
         if "=" not in piece:
             raise SchemaError(f"bad parameter {piece!r}, expected name=value", field="--params")
         name, _, value = piece.partition("=")
-        params[name.strip()] = _rational(value, "--params")
+        name = name.strip()
+        if name not in names:
+            raise SchemaError(f"{entry_name} has no parameter {name!r}", field="--params")
+        if name in params:
+            raise SchemaError(f"parameter {name!r} given twice", field="--params")
+        params[name] = _rational(value, "--params")
     return params
 
 
@@ -115,6 +128,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    _check_output(args.output)
     a = _algebra(args.algebra)
     rep = docs.representation_from_payload(_load(args.rep, "representation").payload, a)
     theta = docs.cochain_from_payload(_load(args.cocycle, "cochain").payload, rep=rep)
@@ -205,6 +219,7 @@ def cmd_quadratic_h2q(args) -> int:
 
 
 def cmd_quadratic_twofold(args) -> int:
+    _check_output(args.output)
     a, qrep = _quadratic_inputs(args)
     theta = docs.cochain_from_payload(_load(args.theta, "cochain").payload, rep=qrep.rep)
     gamma = docs.cochain_from_payload(_load(args.gamma, "cochain").payload, algebra=a)
@@ -258,7 +273,8 @@ def cmd_catalog_list(args) -> int:
 
 
 def cmd_catalog_instantiate(args) -> int:
-    algebra = instantiate(args.name, _parse_params(args.params or ""))
+    _check_output(args.output)
+    algebra = instantiate(args.name, _parse_params(args.params or "", args.name))
     doc = docs.make_document("algebra", docs.algebra_to_payload(algebra))
     if args.output:
         _write(args.output, doc)
@@ -269,7 +285,7 @@ def cmd_catalog_instantiate(args) -> int:
 
 
 def cmd_catalog_verify(args) -> int:
-    report = verify_entry(args.name, _parse_params(args.params or ""))
+    report = verify_entry(args.name, _parse_params(args.params or "", args.name))
     payload = {
         "name": report.name,
         "passed": report.passed,
@@ -286,6 +302,7 @@ def cmd_catalog_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _check_output(args.output)
     grid = DEFAULT_GRID
     env = os.environ.get(GRID_ENV)
     if args.grid is not None:

@@ -310,24 +310,6 @@ class ScalarForm:
             raise ValueError("a scalar form value takes one index per slot")
         return self.coords[_flat(self.dim, indices)]
 
-    def evaluate(self, *vectors):
-        """Multilinear evaluation on coordinate vectors."""
-        if len(vectors) != self.degree:
-            raise ValueError("wrong number of arguments")
-        total = ZERO
-        ranges = [
-            [i for i, x in enumerate(v) if x != 0] for v in vectors
-        ]
-        for idx in product(*ranges):
-            c = self.value(*idx)
-            if c == 0:
-                continue
-            f = c
-            for v, i in zip(vectors, idx):
-                f = f * v[i]
-            total += f
-        return total
-
     def is_zero(self) -> bool:
         return vec_is_zero(self.coords)
 
@@ -394,16 +376,6 @@ def c3r_space(a: Algebra) -> Subspace:
     """Trilinear scalar forms, symmetric in the first two slots, with
     f(alpha x, alpha y, z) = f(x, y, alpha z), on the sym12 coordinates."""
     return kernel_basis(_twist_constraint(_pair_twist(a), a.alpha.transpose()))
-
-
-def in_c2r(a: Algebra, f: ScalarForm) -> bool:
-    at = a.alpha.transpose()
-    return vec_is_zero(_twist_constraint(at, at).apply(f.coords))
-
-
-def in_c3r(a: Algebra, f: ScalarForm) -> bool:
-    return f.is_symmetric12() and vec_is_zero(
-        _twist_constraint(_pair_twist(a), a.alpha.transpose()).apply(scalar3_sym12_to_vector(f)))
 
 
 # ---------------------------------------------------------------------------

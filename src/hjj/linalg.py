@@ -61,15 +61,6 @@ def vec_dot(u: Vector, v: Vector):
     return total
 
 
-def bilinear(form: Matrix, v: Vector, w: Vector):
-    """v^T form w, summed over nonzero factors only."""
-    total = ZERO
-    for vi, row in zip(v, form.entries):
-        if vi:
-            total += vi * vec_dot(row, w)
-    return total
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix of exact rationals, row-major."""
@@ -384,9 +375,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_spanning(self.ambient_dim, list(self.basis) + list(other.basis))
 
     def matrix(self) -> Matrix:
         """Basis vectors as the rows of a matrix (dim x ambient)."""

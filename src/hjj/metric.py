@@ -174,11 +174,6 @@ class DualityReport:
     def passed(self) -> bool:
         return not self.precondition_failed and self.center_space == self.derived_perp
 
-    @property
-    def dims_complementary(self) -> bool:
-        n = self.center_space.ambient_dim
-        return self.center_space.dim + (n - self.derived_perp.dim) == n
-
     def describe(self) -> str:
         if self.precondition_failed:
             return "center-derived duality: precondition violated (not a metric algebra), no claim made"

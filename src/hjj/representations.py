@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import Algebra, _combine, _nonzero, _per_object, _structure_tables
 from .errors import DegenerateForm, UnsupportedSystem
-from .linalg import Matrix, Vector, bilinear, determinant, vec_add, vec_is_zero
+from .linalg import Matrix, determinant, vec_add, vec_is_zero
 from .reports import CheckReport, Violation
 from .scalars import QQ, ZERO
 
@@ -68,9 +68,6 @@ class QuadraticRepresentation:
             raise ValueError("form must be symmetric")
         if m > 0 and determinant(self.form) == 0:
             raise DegenerateForm("quadratic representation form is degenerate")
-
-    def pair(self, v: Vector, w: Vector):
-        return bilinear(self.form, v, w)
 
 
 @_per_object

@@ -26,14 +26,17 @@ from hjj.cohomology import (
     Cochain1,
     Cochain2,
     ScalarForm,
+    _pair_twist,
+    _twist_constraint,
     c2r_space,
     c3r_space,
     cochain1_space,
     cochain2_space,
     pairs,
     scalar2_from_vector,
+    scalar3_sym12_to_vector,
 )
-from hjj.linalg import bilinear, invert, vec_add, vec_scale, zero_vector
+from hjj.linalg import invert, vec_add, vec_dot, vec_is_zero, vec_scale, zero_vector
 from hjj.metric import MetricAlgebra
 from hjj.representations import (
     QuadraticRepresentation,
@@ -256,6 +259,37 @@ def sym12_form(n: int, v) -> ScalarForm:
 # ---------------------------------------------------------------------------
 # Dense reference formulas
 # ---------------------------------------------------------------------------
+
+
+def bilinear(form: Matrix, v, w):
+    """v^T form w."""
+    return sum((vi * vec_dot(row, w) for vi, row in zip(v, form.entries) if vi), QQ(0))
+
+
+def evaluate(f: ScalarForm, *vectors):
+    """Multilinear evaluation of a scalar form on coordinate vectors."""
+    if len(vectors) != f.degree:
+        raise ValueError("wrong number of arguments")
+    total = QQ(0)
+    for idx in product(*([i for i, x in enumerate(v) if x != 0] for v in vectors)):
+        term = f.value(*idx)
+        for v, i in zip(vectors, idx):
+            term *= v[i]
+        total += term
+    return total
+
+
+def in_c2r(a: Algebra, f: ScalarForm) -> bool:
+    """f(alpha x, y) = f(x, alpha y), read through the C^2_r constraint matrix."""
+    at = a.alpha.transpose()
+    return vec_is_zero(_twist_constraint(at, at).apply(f.coords))
+
+
+def in_c3r(a: Algebra, f: ScalarForm) -> bool:
+    """f symmetric in slots 1-2 with f(alpha x, alpha y, z) = f(x, y, alpha z),
+    read through the C^3_r constraint matrix."""
+    return f.is_symmetric12() and vec_is_zero(
+        _twist_constraint(_pair_twist(a), a.alpha.transpose()).apply(scalar3_sym12_to_vector(f)))
 
 
 def dense_invariance_violations(m: MetricAlgebra) -> list:

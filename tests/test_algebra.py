@@ -188,7 +188,7 @@ def test_invariants_preserved_under_conjugation():
 
 
 def _intersection_dim(u, w):
-    return u.dim + w.dim - u.sum_with(w).dim
+    return u.dim + w.dim - Subspace.from_spanning(u.ambient_dim, list(u.basis) + list(w.basis)).dim
 
 
 # isomorphism_invariants as the package computed it before it read the

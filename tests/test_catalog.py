@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from hjj import QQ, Matrix
-from hjj.algebra import is_regular, is_solvable, isomorphism_invariants
+from hjj.algebra import _spectrum, derived_series, is_regular, is_solvable, isomorphism_invariants
 from hjj.catalog import (
     DEFAULT_GRID,
     catalog_list,
@@ -191,6 +191,10 @@ def test_match_catalog_is_selective():
 
 
 TWO_POINT_GRID = (QQ(2), QQ(-1, 3))
+# J^2_{2,1} and J^3_{2,1} at a = 2 share alpha = diag(2, -2, 4) but not their
+# centers, and classify(3) on this grid has outputs that share alpha but not
+# their derived series or centers: a memo keyed on the wrong field mismatches
+SHARED_ALPHA_GRID = (QQ(2), QQ(-2))
 
 
 def _scan_catalog(algebra, grid):
@@ -209,31 +213,48 @@ def _scan_catalog(algebra, grid):
     return tuple(names)
 
 
-def test_classify_computes_each_invariant_once(monkeypatch):
+def test_classify_computes_each_spectrum_and_derived_series_once(monkeypatch):
     import hjj.catalog
 
-    calls = []
+    spectra, series = [], []
 
-    def counting(algebra):
-        calls.append(algebra)
-        return isomorphism_invariants(algebra)
+    def counting_spectrum(alpha):
+        spectra.append(alpha)
+        return _spectrum(alpha)
 
-    monkeypatch.setattr(hjj.catalog, "isomorphism_invariants", counting)
+    def counting_series(algebra):
+        series.append(algebra.bracket_tensor)
+        return derived_series(algebra)
+
+    monkeypatch.setattr(hjj.catalog, "_spectrum", counting_spectrum)
+    monkeypatch.setattr(hjj.catalog, "derived_series", counting_series)
     outputs = classify(3, TWO_POINT_GRID)
-    points = sum(
-        entry.admissible(dict(zip(entry.params, combo)))
+    algebras = [out.algebra for out in outputs]
+    points = [
+        entry.instantiate(values)
         for entry in catalog_list()
         if entry.dim == 3
-        for combo in product(TWO_POINT_GRID, repeat=len(entry.params))
-    )
-    assert len(calls) == len(outputs) + points
+        for values in (dict(zip(entry.params, combo)) for combo in product(TWO_POINT_GRID, repeat=len(entry.params)))
+        if entry.admissible(values)
+    ]
+    polys = {(out.invariants.alpha_charpoly, out.invariants.alpha_minpoly) for out in outputs}
+    surviving = [a for a in points if _spectrum(a.alpha)[:2] in polys]
+    assert 0 < len(surviving) < len(points)
+    # once per distinct alpha among the outputs and every catalog point
+    assert len(spectra) == len(set(spectra))
+    assert set(spectra) == {a.alpha for a in algebras + points}
+    # once per distinct bracket among the outputs and the points that survive
+    # the twist-polynomial skip
+    assert len(series) == len(set(series))
+    assert set(series) == {a.bracket_tensor for a in algebras + surviving}
 
 
-@pytest.mark.parametrize("dim, grid", [(2, DEFAULT_GRID), (3, TWO_POINT_GRID)])
+@pytest.mark.parametrize("dim, grid", [(2, DEFAULT_GRID), (3, TWO_POINT_GRID), (3, SHARED_ALPHA_GRID)])
 def test_index_matches_catalog_scan(dim, grid):
     outputs = classify(dim, grid)
     assert outputs
     for out in outputs:
+        assert out.invariants == isomorphism_invariants(out.algebra), out.provenance
         expected = _scan_catalog(out.algebra, grid)
         assert out.matched == expected, out.provenance
         assert match_catalog(out.algebra, grid) == expected

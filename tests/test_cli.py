@@ -318,6 +318,12 @@ def test_usage_errors_exit2(files, capsys, tmp_path, monkeypatch):
     # bad parameter syntax
     code, _, err = run(capsys, "catalog", "verify", "J^1_{1,1}", "--params", "a=0.5")
     assert code == 2
+    # an unknown or a repeated parameter name, for verify and instantiate
+    for command in ("verify", "instantiate"):
+        code, out, err = run(capsys, "catalog", command, "J^1_{1,1}", "--params", "a=2,zz=5")
+        assert code == 2 and "'zz'" in err and "field --params" in err and out == ""
+        code, out, err = run(capsys, "catalog", command, "J^1_{1,1}", "--params", "a=2,a=3")
+        assert code == 2 and "given twice" in err and "field --params" in err and out == ""
     # bad classify grid, from the flag or from HJJ_GRID
     for grid in ("1,abc", "1/0", ""):
         code, _, err = run(capsys, "classify", "--dim", "2", "--grid", grid)
@@ -325,6 +331,26 @@ def test_usage_errors_exit2(files, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HJJ_GRID", "x")
     code, _, err = run(capsys, "classify", "--dim", "2")
     assert code == 2 and "field HJJ_GRID" in err and "Traceback" not in err
+
+
+def test_output_into_missing_directory_exits2_before_computing(files, capsys, tmp_path, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before checking -o")
+
+    for name in ("classify", "build_extension", "build_twofold", "instantiate"):
+        monkeypatch.setattr(hjj.cli, name, computed)
+    missing = str(tmp_path / "missing" / "out.json")
+    inputs = ["--algebra", files["algebra.json"]]
+    for argv in (
+        ["classify", "--dim", "3"],
+        ["extend", *inputs, "--rep", files["rep.json"], "--cocycle", files["zero2.json"]],
+        ["quadratic", "twofold", *inputs, "--qrep", files["qrep.json"],
+         "--theta", files["zero2.json"], "--gamma", files["gamma.json"]],
+        ["catalog", "instantiate", "J^1_{1,1}", "--params", "a=2"],
+    ):
+        code, out, err = run(capsys, *argv, "-o", missing)
+        assert code == 2 and "field -o" in err and out == "", argv
+        assert not (tmp_path / "missing").exists()
 
 
 def test_internal_error_exit3(files, capsys, monkeypatch):

@@ -27,8 +27,6 @@ from hjj.cohomology import (
     dc2,
     dr2,
     dr3,
-    in_c2r,
-    in_c3r,
     pairs,
     scalar3_sym12_to_vector,
 )
@@ -50,6 +48,9 @@ from hjj.representations import QuadraticRepresentation, Representation, check_r
 from .gen import (
     conjugate_algebra,
     dense_invariance_violations,
+    evaluate,
+    in_c2r,
+    in_c3r,
     rand_invertible,
     rand_matrix,
     rand_scalar,
@@ -193,12 +194,12 @@ def test_dr3_term_expansion_oracle():
     ac = [alg.alpha.column(i) for i in range(2)]
     i, j, k, t = 0, 0, 1, 1
     expected = (
-        g.evaluate(alg.bracket_basis(i, j), ac[k], e[t])
-        + g.evaluate(alg.bracket_basis(i, k), ac[j], e[t])
-        + g.evaluate(alg.bracket_basis(j, k), ac[i], e[t])
-        + g.evaluate(e[i], e[j], alg.bracket(ac[k], e[t]))
-        + g.evaluate(e[j], e[k], alg.bracket(ac[i], e[t]))
-        + g.evaluate(e[i], e[k], alg.bracket(ac[j], e[t]))
+        evaluate(g, alg.bracket_basis(i, j), ac[k], e[t])
+        + evaluate(g, alg.bracket_basis(i, k), ac[j], e[t])
+        + evaluate(g, alg.bracket_basis(j, k), ac[i], e[t])
+        + evaluate(g, e[i], e[j], alg.bracket(ac[k], e[t]))
+        + evaluate(g, e[j], e[k], alg.bracket(ac[i], e[t]))
+        + evaluate(g, e[i], e[k], alg.bracket(ac[j], e[t]))
     )
     # single matching term: g([e1,e1], alpha(e2), e2) = g(e2, 4 e2, e2) = 4
     assert expected == QQ(4)
@@ -206,7 +207,7 @@ def test_dr3_term_expansion_oracle():
 
 
 def _dr3_six_terms(a, g):
-    """Reference d_r^3: the six terms through ScalarForm.evaluate and
+    """Reference d_r^3: the six terms through evaluate and
     Algebra.bracket on dense coordinate vectors, at every index 4-tuple."""
     n = a.dim
     e = [a.basis_vector(i) for i in range(n)]
@@ -214,12 +215,12 @@ def _dr3_six_terms(a, g):
     entries = {}
     for i, j, k, t in product(range(n), repeat=4):
         entries[(i, j, k, t)] = (
-            g.evaluate(a.bracket(e[i], e[j]), ac[k], e[t])
-            + g.evaluate(a.bracket(e[i], e[k]), ac[j], e[t])
-            + g.evaluate(a.bracket(e[j], e[k]), ac[i], e[t])
-            + g.evaluate(e[i], e[j], a.bracket(ac[k], e[t]))
-            + g.evaluate(e[j], e[k], a.bracket(ac[i], e[t]))
-            + g.evaluate(e[i], e[k], a.bracket(ac[j], e[t]))
+            evaluate(g, a.bracket(e[i], e[j]), ac[k], e[t])
+            + evaluate(g, a.bracket(e[i], e[k]), ac[j], e[t])
+            + evaluate(g, a.bracket(e[j], e[k]), ac[i], e[t])
+            + evaluate(g, e[i], e[j], a.bracket(ac[k], e[t]))
+            + evaluate(g, e[j], e[k], a.bracket(ac[i], e[t]))
+            + evaluate(g, e[i], e[k], a.bracket(ac[j], e[t]))
         )
     return ScalarForm.from_entries(n, 4, entries)
 
@@ -350,7 +351,7 @@ def test_operator_matrices_match_defining_formulas():
         for col in range(dr2m.cols):
             f = ScalarForm.from_entries(n, 2, {divmod(col, n): QQ(1)})
             expected = tuple(
-                f.evaluate(br(x, y), z) - f.evaluate(y, br(x, z)) - f.evaluate(x, br(y, z))
+                evaluate(f, br(x, y), z) - evaluate(f, y, br(x, z)) - evaluate(f, x, br(y, z))
                 for x, y, z, _, _, _ in triples
             )
             assert dr2m.column(col) == expected
@@ -372,7 +373,7 @@ def test_operator_matrices_match_defining_formulas():
             size = len(pairs(n)) * n
             for g in [sym12_form(n, _unit(size, col)) for col in range(size)] + [random_c3r_form(rng, r.algebra)]:
                 expected = all(
-                    g.evaluate(acs[x], acs[y], e[z]) == g.evaluate(e[x], e[y], acs[z])
+                    evaluate(g, acs[x], acs[y], e[z]) == evaluate(g, e[x], e[y], acs[z])
                     for x, y, z in product(range(n), repeat=3)
                 )
                 assert in_c3r(r.algebra, g) == expected

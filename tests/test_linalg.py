@@ -218,7 +218,7 @@ def test_quotient_dim_examples():
     combined = small
     for v in reps:
         assert big.contains(v) and not combined.contains(v)
-        combined = combined.sum_with(Subspace.from_spanning(4, [v]))
+        combined = Subspace.from_spanning(4, list(combined.basis) + [v])
     assert combined.dim == big.dim
 
 
@@ -235,7 +235,7 @@ def reference_quotient_reps(big, small):
     for v in big.basis:
         if not current.contains(v):
             reps.append(v)
-            current = current.sum_with(Subspace.from_spanning(big.ambient_dim, [v]))
+            current = Subspace.from_spanning(big.ambient_dim, list(current.basis) + [v])
     return tuple(reps)
 
 

@@ -21,7 +21,7 @@ from hjj.cohomology import (
     scalar2_from_vector,
 )
 from hjj.errors import PreconditionFailure
-from hjj.linalg import Subspace, bilinear, determinant, invert, vec_add, vec_scale, zero_vector
+from hjj.linalg import Subspace, determinant, invert, vec_add, vec_scale, zero_vector
 from hjj.metric import check_metric, gamma_form, is_isotropic, metric_criterion
 from hjj.quadratic import (
     _assemble_twofold,
@@ -38,7 +38,7 @@ from hjj.quadratic import (
 )
 from hjj.representations import QuadraticRepresentation, Representation
 
-from .gen import rand_matrix, rand_scalar, rand_structure, random_cochain1, random_quadratic, sym12_form
+from .gen import bilinear, rand_matrix, rand_scalar, rand_structure, random_cochain1, random_quadratic, sym12_form
 
 
 def dim1_setup(alpha=1, beta=1, b_a=1):
@@ -195,8 +195,8 @@ def test_twist_pairing_identity_randomized():
         fa, ga = f.twist_arguments(), g.twist_arguments()
         n = alg.dim
         for idx in product(range(n), repeat=4):
-            lhs = qrep.pair(fa.value(idx[0], idx[1]), g.value(idx[2], idx[3]))
-            rhs = qrep.pair(f.value(idx[0], idx[1]), ga.value(idx[2], idx[3]))
+            lhs = bilinear(qrep.form, fa.value(idx[0], idx[1]), g.value(idx[2], idx[3]))
+            rhs = bilinear(qrep.form, f.value(idx[0], idx[1]), ga.value(idx[2], idx[3]))
             assert lhs == rhs
 
 
@@ -227,7 +227,7 @@ def test_wedge_differential_identity_randomized():
         for idx in product(range(n), repeat=3):
             total = QQ(0)
             for sh in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-                total += qrep.pair(f.value(idx[sh[0]], idx[sh[1]]), g.value(idx[sh[2]]))
+                total += bilinear(qrep.form, f.value(idx[sh[0]], idx[sh[1]]), g.value(idx[sh[2]]))
             entries[idx] = total
         bfg = ScalarForm.from_entries(n, 3, entries)
         lhs4 = dr3(alg, bfg)
@@ -240,14 +240,14 @@ def test_wedge_differential_identity_randomized():
                 if c != 0:
                     lhs += c * lhs4.value(i, j, k, t)
             galpha = g.value_vec(alg.alpha.column(a_idx))
-            rhs = qrep.pair(d2f.value(i, j, k), galpha)
+            rhs = bilinear(qrep.form, d2f.value(i, j, k), galpha)
             for (p, q, r_) in ((i, j, k), (i, k, j), (j, k, i)):
                 val = zero_vector(rep.vdim)
                 for t in range(n):
                     c = alg.alpha.entry(t, a_idx)
                     if c != 0:
                         val = vec_add(val, vec_scale(c, dc2f.value(p, q, t)))
-                rhs += qrep.pair(val, g.value(r_))
+                rhs += bilinear(qrep.form, val, g.value(r_))
             rhs += w.value(i, j, k, a_idx)
             assert lhs == rhs
 
