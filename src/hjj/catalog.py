@@ -1,10 +1,13 @@
 """The low-dimensional catalog and the bootstrapping classification.
 
-Catalog entries are stored exactly as printed in their source bullets, with
-names verbatim.  A separate constraint table records what residual analysis
-finds: admissibility conditions of the family ("domain") and polynomial
-equations the axioms force on the parameters ("requires").  The tool never
-silently repairs an entry; the constraints surface in verify reports.
+``_CATALOG`` is one table: a row per printed family, in catalog order, with
+its name verbatim from the source bullet, its parameters, its builder and
+the constraints residual analysis records on it.  A constraint's kind fixes
+its tag: an admissibility condition of the family ("domain") is PAPER, a
+polynomial equation the axioms force on the parameters ("requires") is
+DERIVED.  The tool never silently repairs an entry; the constraints surface
+in verify reports.  A parameter name the entry does not have is rejected
+(``SchemaError``, field ``params``).
 
 The classification routine rebuilds algebras of dimension n from algebras
 of dimension < n: pick a base J and a module V, solve for the module
@@ -22,7 +25,7 @@ from typing import Callable
 from .algebra import Algebra, Invariants, _bracket_invariants, _spectrum, center, derived_series
 from .algebra import check_hom_jacobi, check_multiplicative, is_regular
 from .cohomology import Cochain2, compute_H2
-from .errors import MissingParameter, UnknownEntry
+from .errors import MissingParameter, SchemaError, UnknownEntry
 from .extensions import ExtensionSpec, build_extension
 from .linalg import Matrix, vec_add, vec_scale
 from .reports import CheckReport
@@ -36,10 +39,14 @@ DEFAULT_GRID = (QQ(-2), QQ(-1), QQ(1), QQ(2), QQ(3), QQ(1, 2))
 class Constraint:
     """One recorded condition on an entry's parameters."""
 
-    tag: str  # "PAPER" or "DERIVED"
     kind: str  # "domain" (admissibility) or "requires" (axiom equation)
     text: str
     holds: Callable  # params -> bool
+
+    @property
+    def tag(self) -> str:
+        """PAPER for a printed admissibility condition, DERIVED for an axiom equation."""
+        return {"domain": "PAPER", "requires": "DERIVED"}[self.kind]
 
 
 @dataclass(frozen=True)
@@ -51,15 +58,21 @@ class CatalogEntry:
     constraints: tuple = ()
 
     def instantiate(self, values: dict) -> Algebra:
+        for k in values:
+            if k not in self.params:
+                raise SchemaError(f"{self.name} has no parameter {k!r}", field="params")
         missing = [p for p in self.params if p not in values]
         if missing:
             raise MissingParameter(f"{self.name} needs parameters {missing}")
-        params = {k: QQ(v) if isinstance(v, (int, str)) else v for k, v in values.items()}
-        brackets, alpha = self.builder(params)
+        brackets, alpha = self.builder(_rationals(values))
         return Algebra.from_brackets(self.dim, brackets, alpha)
 
     def admissible(self, values: dict) -> bool:
         return all(c.holds(values) for c in self.constraints)
+
+
+def _rationals(values: dict) -> dict:
+    return {k: QQ(v) if isinstance(v, (int, str)) else v for k, v in values.items()}
 
 
 def _e(n: int, i: int):
@@ -74,298 +87,94 @@ def _cols(*columns) -> Matrix:
     return Matrix.from_columns(list(columns))
 
 
+def _squares(a, last) -> Matrix:
+    """diag(a, a^2, last): the J^1_{2,1}, J^7, J^8 and J^10 twist."""
+    return _diag(a, a**2, last)
+
+
+def _plus_minus(a) -> Matrix:
+    """diag(a, -a, a^2): the J^2_{2,1} and J^3_{2,1} twist."""
+    return _diag(a, -a, a**2)
+
+
+def _upper(a, c) -> Matrix:
+    """The J^9/J^11 twist: e1 |-> a e1, e2 |-> a^2 e2, e3 |-> c e2 + a^2 e3."""
+    square = a**2
+    return _cols((a, ZERO, ZERO), (ZERO, square, ZERO), (ZERO, c, square))
+
+
+def _jordan(c) -> Matrix:
+    """The J^12-J^17 twist: e1 |-> e1 + e3, e2 |-> c e1 + e2, e3 |-> e3."""
+    return _cols((ONE, ZERO, ONE), (c, ONE, ZERO), (ZERO, ZERO, ONE))
+
+
 def _nonzero(*names):
-    return Constraint(
-        "PAPER",
-        "domain",
-        " and ".join(f"{n} != 0" for n in names) + " (alpha invertible)",
-        lambda p, names=names: all(p[n] != 0 for n in names),
-    )
+    text = " and ".join(f"{n} != 0" for n in names) + " (alpha invertible)"
+    return Constraint("domain", text, lambda p: all(p[n] != 0 for n in names))
 
 
-def _entries() -> tuple:
-    e = _e
-    out = []
+def _requires(text: str, holds: Callable) -> Constraint:
+    return Constraint("requires", text, holds)
 
+
+_A3_MINUS_A2 = _requires(
+    "a^3 - a^2 = 0  (multiplicativity residual at (e1,e3))", lambda p: p["a"] ** 3 - p["a"] ** 2 == 0
+)
+_TWO_C = _requires("2*c = 0  (multiplicativity residual at (e2,e2))", lambda p: p["c"] == 0)
+
+# name, dim, parameters, builder (parameters -> (brackets, alpha)), constraints
+_CATALOG = (
     # -- dimension 2 ---------------------------------------------------------
-    out.append(
-        CatalogEntry(
-            "J^1_{1,1}",
-            2,
-            ("a",),
-            lambda p: ({(0, 0): e(2, 1)}, _diag(p["a"], p["a"] ** 2)),
-            (_nonzero("a"),),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^2_{1,1}",
-            2,
-            (),
-            lambda p: ({(1, 1): e(2, 0)}, _cols((ONE, ZERO), (ONE, ONE))),
-        )
-    )
-
+    CatalogEntry("J^1_{1,1}", 2, ("a",), lambda p: ({(0, 0): _e(2, 1)}, _diag(p["a"], p["a"] ** 2)), (_nonzero("a"),)),
+    CatalogEntry("J^2_{1,1}", 2, (), lambda p: ({(1, 1): _e(2, 0)}, _cols((ONE, ZERO), (ONE, ONE)))),
     # -- dimension 3, twist preserving the 2-dimensional part -----------------
-    out.append(
-        CatalogEntry(
-            "J^1_{2,1}",
-            3,
-            ("a", "b"),
-            lambda p: ({(0, 0): e(3, 1)}, _diag(p["a"], p["a"] ** 2, p["b"])),
-            (_nonzero("a", "b"),),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^2_{2,1}",
-            3,
-            ("a",),
-            lambda p: ({(0, 0): e(3, 2), (1, 1): e(3, 2)}, _diag(p["a"], -p["a"], p["a"] ** 2)),
-            (_nonzero("a"),),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^3_{2,1}",
-            3,
-            ("a",),
-            lambda p: ({(0, 0): e(3, 2)}, _diag(p["a"], -p["a"], p["a"] ** 2)),
-            (_nonzero("a"),),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^4_{2,1}",
-            3,
-            ("a", "b"),
-            lambda p: ({(0, 0): e(3, 2)}, _diag(p["a"], p["b"], p["a"] ** 2)),
-            (
-                _nonzero("a", "b"),
-                Constraint("PAPER", "domain", "b^2 != a^2", lambda p: p["b"] ** 2 != p["a"] ** 2),
-            ),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^5_{2,1}",
-            3,
-            ("b",),
-            lambda p: (
-                {(1, 1): e(3, 0)},
-                _cols((ONE, ZERO, ZERO), (ONE, ONE, ZERO), (ZERO, ZERO, p["b"])),
-            ),
-            (_nonzero("b"),),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^6_{2,1}",
-            3,
-            ("a", "c"),
-            lambda p: (
-                {(1, 1): e(3, 2)},
-                _cols((p["a"], ZERO, ZERO), (p["c"], p["a"], ZERO), (ZERO, ZERO, p["a"] ** 2)),
-            ),
-            (_nonzero("a"),),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^7_{1,2}",
-            3,
-            ("a", "c"),
-            lambda p: ({(0, 0): e(3, 1)}, _diag(p["a"], p["a"] ** 2, p["c"])),
-            (
-                _nonzero("a", "c"),
-                Constraint("PAPER", "domain", "c != a^2", lambda p: p["c"] != p["a"] ** 2),
-            ),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^8_{1,2}",
-            3,
-            ("a", "x", "y"),
-            lambda p: (
-                {(0, 0): vec_add(vec_scale(p["x"], e(3, 0)), vec_scale(p["y"], e(3, 1)))},
-                _diag(p["a"], p["a"] ** 2, p["a"] ** 2),
-            ),
-            (
-                _nonzero("a"),
-                Constraint(
-                    "DERIVED",
-                    "requires",
-                    "x*(a^2 - a) = 0  (multiplicativity residual at (e1,e1))",
-                    lambda p: p["x"] * (p["a"] ** 2 - p["a"]) == 0,
-                ),
-                Constraint(
-                    "DERIVED",
-                    "requires",
-                    "a*x^2 = 0 and a*x*y = 0  (hom-jacobi residual at (e1,e1,e1))",
-                    lambda p: p["a"] * p["x"] ** 2 == 0 and p["a"] * p["x"] * p["y"] == 0,
-                ),
-            ),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^9_{1,2}",
-            3,
-            ("a", "c"),
-            lambda p: (
-                {(0, 0): e(3, 1)},
-                _cols((p["a"], ZERO, ZERO), (ZERO, p["a"] ** 2, ZERO), (ZERO, p["c"], p["a"] ** 2)),
-            ),
-            (_nonzero("a"),),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^{10}_{1,2}",
-            3,
-            ("a",),
-            lambda p: ({(0, 2): e(3, 1)}, _diag(p["a"], p["a"] ** 2, p["a"] ** 2)),
-            (
-                _nonzero("a"),
-                Constraint(
-                    "DERIVED",
-                    "requires",
-                    "a^3 - a^2 = 0  (multiplicativity residual at (e1,e3))",
-                    lambda p: p["a"] ** 3 - p["a"] ** 2 == 0,
-                ),
-            ),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^{11}_{1,2}",
-            3,
-            ("a", "c"),
-            lambda p: (
-                {(0, 2): e(3, 1)},
-                _cols((p["a"], ZERO, ZERO), (ZERO, p["a"] ** 2, ZERO), (ZERO, p["c"], p["a"] ** 2)),
-            ),
-            (
-                _nonzero("a"),
-                Constraint(
-                    "DERIVED",
-                    "requires",
-                    "a^3 - a^2 = 0  (multiplicativity residual at (e1,e3))",
-                    lambda p: p["a"] ** 3 - p["a"] ** 2 == 0,
-                ),
-            ),
-        )
-    )
-
+    CatalogEntry("J^1_{2,1}", 3, ("a", "b"), lambda p: ({(0, 0): _e(3, 1)}, _squares(p["a"], p["b"])),
+                 (_nonzero("a", "b"),)),
+    CatalogEntry("J^2_{2,1}", 3, ("a",), lambda p: ({(0, 0): _e(3, 2), (1, 1): _e(3, 2)}, _plus_minus(p["a"])),
+                 (_nonzero("a"),)),
+    CatalogEntry("J^3_{2,1}", 3, ("a",), lambda p: ({(0, 0): _e(3, 2)}, _plus_minus(p["a"])), (_nonzero("a"),)),
+    CatalogEntry("J^4_{2,1}", 3, ("a", "b"), lambda p: ({(0, 0): _e(3, 2)}, _diag(p["a"], p["b"], p["a"] ** 2)),
+                 (_nonzero("a", "b"), Constraint("domain", "b^2 != a^2", lambda p: p["b"] ** 2 != p["a"] ** 2))),
+    CatalogEntry("J^5_{2,1}", 3, ("b",),
+                 lambda p: ({(1, 1): _e(3, 0)}, _cols((ONE, ZERO, ZERO), (ONE, ONE, ZERO), (ZERO, ZERO, p["b"]))),
+                 (_nonzero("b"),)),
+    CatalogEntry("J^6_{2,1}", 3, ("a", "c"),
+                 lambda p: ({(1, 1): _e(3, 2)},
+                            _cols((p["a"], ZERO, ZERO), (p["c"], p["a"], ZERO), (ZERO, ZERO, p["a"] ** 2))),
+                 (_nonzero("a"),)),
+    CatalogEntry("J^7_{1,2}", 3, ("a", "c"), lambda p: ({(0, 0): _e(3, 1)}, _squares(p["a"], p["c"])),
+                 (_nonzero("a", "c"), Constraint("domain", "c != a^2", lambda p: p["c"] != p["a"] ** 2))),
+    CatalogEntry("J^8_{1,2}", 3, ("a", "x", "y"),
+                 lambda p: ({(0, 0): vec_add(vec_scale(p["x"], _e(3, 0)), vec_scale(p["y"], _e(3, 1)))},
+                            _squares(p["a"], p["a"] ** 2)),
+                 (_nonzero("a"),
+                  _requires("x*(a^2 - a) = 0  (multiplicativity residual at (e1,e1))",
+                            lambda p: p["x"] * (p["a"] ** 2 - p["a"]) == 0),
+                  _requires("a*x^2 = 0 and a*x*y = 0  (hom-jacobi residual at (e1,e1,e1))",
+                            lambda p: p["a"] * p["x"] ** 2 == 0 and p["a"] * p["x"] * p["y"] == 0))),
+    CatalogEntry("J^9_{1,2}", 3, ("a", "c"), lambda p: ({(0, 0): _e(3, 1)}, _upper(p["a"], p["c"])), (_nonzero("a"),)),
+    CatalogEntry("J^{10}_{1,2}", 3, ("a",), lambda p: ({(0, 2): _e(3, 1)}, _squares(p["a"], p["a"] ** 2)),
+                 (_nonzero("a"), _A3_MINUS_A2)),
+    CatalogEntry("J^{11}_{1,2}", 3, ("a", "c"), lambda p: ({(0, 2): _e(3, 1)}, _upper(p["a"], p["c"])),
+                 (_nonzero("a"), _A3_MINUS_A2)),
     # -- dimension 3, twist with e1 |-> e1 + e3 -------------------------------
-    def jordan_alpha(p):
-        return _cols((ONE, ZERO, ONE), (p["c"], ONE, ZERO), (ZERO, ZERO, ONE))
-
-    out.append(
-        CatalogEntry(
-            "J^{12}_{2,1}",
-            3,
-            ("c", "x"),
-            lambda p: (
-                {(0, 0): e(3, 2), (0, 1): e(3, 2), (1, 1): vec_scale(p["x"], e(3, 2))},
-                jordan_alpha(p),
-            ),
-            (
-                Constraint(
-                    "DERIVED",
-                    "requires",
-                    "c = 0  (multiplicativity residual -c*e3 at (e1,e2))",
-                    lambda p: p["c"] == 0,
-                ),
-                Constraint(
-                    "DERIVED",
-                    "requires",
-                    "c^2 + 2*c = 0  (multiplicativity residual at (e2,e2))",
-                    lambda p: p["c"] ** 2 + 2 * p["c"] == 0,
-                ),
-            ),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^{13}_{2,1}",
-            3,
-            ("c",),
-            lambda p: ({(0, 0): e(3, 2), (1, 1): e(3, 2)}, jordan_alpha(p)),
-            (
-                Constraint(
-                    "DERIVED",
-                    "requires",
-                    "c = 0  (multiplicativity residuals -c*e3 at (e1,e2) and -c^2*e3 at (e2,e2))",
-                    lambda p: p["c"] == 0,
-                ),
-            ),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^{14}_{2,1}",
-            3,
-            (),
-            lambda p: (
-                {(0, 0): e(3, 2)},
-                _cols((ONE, ZERO, ONE), (ONE, ONE, ZERO), (ZERO, ZERO, ONE)),
-            ),
-            (
-                Constraint(
-                    "DERIVED",
-                    "requires",
-                    "unsatisfiable: multiplicativity residual -e3 at (e2,e2) has no parameters to fix",
-                    lambda p: False,
-                ),
-            ),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^{15}_{2,1}",
-            3,
-            ("c",),
-            lambda p: ({(0, 1): e(3, 2), (1, 1): e(3, 2)}, jordan_alpha(p)),
-            (
-                Constraint(
-                    "DERIVED",
-                    "requires",
-                    "2*c = 0  (multiplicativity residual at (e2,e2))",
-                    lambda p: p["c"] == 0,
-                ),
-            ),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^{16}_{2,1}",
-            3,
-            ("c",),
-            lambda p: ({(1, 1): e(3, 2)}, jordan_alpha(p)),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "J^{17}_{2,1}",
-            3,
-            ("c",),
-            lambda p: ({(0, 1): e(3, 2)}, jordan_alpha(p)),
-            (
-                Constraint(
-                    "DERIVED",
-                    "requires",
-                    "2*c = 0  (multiplicativity residual at (e2,e2))",
-                    lambda p: p["c"] == 0,
-                ),
-            ),
-        )
-    )
-    return tuple(out)
-
-
-_CATALOG = _entries()
+    CatalogEntry("J^{12}_{2,1}", 3, ("c", "x"),
+                 lambda p: ({(0, 0): _e(3, 2), (0, 1): _e(3, 2), (1, 1): vec_scale(p["x"], _e(3, 2))},
+                            _jordan(p["c"])),
+                 (_requires("c = 0  (multiplicativity residual -c*e3 at (e1,e2))", lambda p: p["c"] == 0),
+                  _requires("c^2 + 2*c = 0  (multiplicativity residual at (e2,e2))",
+                            lambda p: p["c"] ** 2 + 2 * p["c"] == 0))),
+    CatalogEntry("J^{13}_{2,1}", 3, ("c",), lambda p: ({(0, 0): _e(3, 2), (1, 1): _e(3, 2)}, _jordan(p["c"])),
+                 (_requires("c = 0  (multiplicativity residuals -c*e3 at (e1,e2) and -c^2*e3 at (e2,e2))",
+                            lambda p: p["c"] == 0),)),
+    CatalogEntry("J^{14}_{2,1}", 3, (), lambda p: ({(0, 0): _e(3, 2)}, _jordan(ONE)),
+                 (_requires("unsatisfiable: multiplicativity residual -e3 at (e2,e2) has no parameters to fix",
+                            lambda p: False),)),
+    CatalogEntry("J^{15}_{2,1}", 3, ("c",), lambda p: ({(0, 1): _e(3, 2), (1, 1): _e(3, 2)}, _jordan(p["c"])),
+                 (_TWO_C,)),
+    CatalogEntry("J^{16}_{2,1}", 3, ("c",), lambda p: ({(1, 1): _e(3, 2)}, _jordan(p["c"]))),
+    CatalogEntry("J^{17}_{2,1}", 3, ("c",), lambda p: ({(0, 1): _e(3, 2)}, _jordan(p["c"])), (_TWO_C,)),
+)
 _BY_NAME = {entry.name: entry for entry in _CATALOG}
 
 
@@ -411,8 +220,8 @@ def verify_entry(name: str, params: dict) -> EntryReport:
     """Instantiate and run every axiom check, reporting exact residuals and
     the recorded constraint status at these parameters."""
     entry = catalog_entry(name)
-    values = {k: QQ(v) if isinstance(v, (int, str)) else v for k, v in params.items()}
-    algebra = entry.instantiate(values)
+    algebra = entry.instantiate(params)
+    values = _rationals(params)
     return EntryReport(
         name=name,
         params=values,
@@ -434,12 +243,6 @@ class ClassifyOutput:
     provenance: dict
     invariants: Invariants
     matched: tuple  # catalog entry names with identical invariants at some grid point
-
-    def verified(self) -> bool:
-        return (
-            check_hom_jacobi(self.algebra).passed
-            and check_multiplicative(self.algebra).passed
-        )
 
 
 def _admissible_points(entry: CatalogEntry, grid) -> list:
@@ -625,11 +428,7 @@ def _classify3(grid) -> list:
     for a in sample_a:
         for b in nonzero:
             base = Algebra.abelian(2, _diag(a, b))
-            d_values = []
-            for d in tuple(nonzero) + (a * a, a * b, b * b):
-                if d != 0 and d not in d_values:
-                    d_values.append(d)
-            for d in d_values:
+            for d in dict.fromkeys(nonzero + [a * a, a * b, b * b]):  # each once, first-seen order
                 outputs.extend(
                     _extensions_from_base(
                         base,
@@ -641,11 +440,7 @@ def _classify3(grid) -> list:
     # base abelian dim 2, Jordan twist
     for a in sample_a:
         base = Algebra.abelian(2, _cols((a, ZERO), (ONE, a)))
-        d_values = []
-        for d in tuple(nonzero) + (a * a,):
-            if d != 0 and d not in d_values:
-                d_values.append(d)
-        for d in d_values:
+        for d in dict.fromkeys(nonzero + [a * a]):
             outputs.extend(
                 _extensions_from_base(
                     base,
@@ -680,8 +475,6 @@ def _classify3_vdim2(grid) -> list:
     base = _abelian1(ONE)
     beta = Matrix.diagonal([ONE, ONE])
     for x1, x2 in ((ZERO, ONE), (ONE, ONE), (ONE, QQ(2))):
-        if x2 == 0:
-            continue
         action = a2zero_candidates(x1, x2)
         rep = Representation(base, 2, (action,), beta)
         if not check_representation(rep).passed:

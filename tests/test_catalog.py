@@ -3,7 +3,15 @@ from itertools import product
 import pytest
 
 from hjj import QQ, Matrix
-from hjj.algebra import _spectrum, derived_series, is_regular, is_solvable, isomorphism_invariants
+from hjj.algebra import (
+    _spectrum,
+    check_hom_jacobi,
+    check_multiplicative,
+    derived_series,
+    is_regular,
+    is_solvable,
+    isomorphism_invariants,
+)
 from hjj.catalog import (
     DEFAULT_GRID,
     catalog_list,
@@ -12,7 +20,7 @@ from hjj.catalog import (
     match_catalog,
     verify_entry,
 )
-from hjj.errors import MissingParameter, UnknownEntry
+from hjj.errors import MissingParameter, SchemaError, UnknownEntry
 
 
 def test_catalog_counts_and_names():
@@ -48,6 +56,12 @@ def test_unknown_and_missing():
         instantiate("J^99_{9,9}", {})
     with pytest.raises(MissingParameter):
         instantiate("J^1_{1,1}", {})
+    # a parameter name the entry does not have, also beside every one it has
+    for call in (instantiate, verify_entry):
+        for params in ({"a": 2, "zz": 5}, {"zz": 5}):
+            with pytest.raises(SchemaError) as info:
+                call("J^1_{1,1}", params)
+            assert info.value.field == "params" and str(info.value) == "J^1_{1,1} has no parameter 'zz'"
 
 
 def test_verify_entry_passes():
@@ -139,7 +153,7 @@ def test_classify_dim2():
     families = {name for out in outputs for name in out.matched}
     assert families == {"J^1_{1,1}", "J^2_{1,1}"}
     for out in outputs:
-        assert out.verified()
+        assert check_hom_jacobi(out.algebra).passed and check_multiplicative(out.algebra).passed
         assert is_solvable(out.algebra)[0]
         assert is_regular(out.algebra)
         assert out.matched, f"unmatched output {out.provenance}"
@@ -156,7 +170,7 @@ def test_classify_dim2():
 def test_classify_dim3_reproduces_expected_families():
     outputs = classify(3)
     for out in outputs:
-        assert out.verified()
+        assert check_hom_jacobi(out.algebra).passed and check_multiplicative(out.algebra).passed
         assert is_solvable(out.algebra)[0]
         assert is_regular(out.algebra)
     families = {name for out in outputs for name in out.matched}

@@ -1,8 +1,11 @@
 import copy
+import hashlib
 import io
 import json
+import random
 import signal
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,13 +13,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import hjj.cli
 
 from hjj import QQ, Matrix
-from hjj.catalog import catalog_list, instantiate
+from hjj.catalog import DEFAULT_GRID, catalog_list, instantiate
 from hjj.cli import main
-from hjj.cohomology import Cochain1, Cochain2, ScalarForm
+from hjj.cohomology import Cochain1, Cochain2, ScalarForm, d1, d2
 from hjj.documents import (
     algebra_to_payload,
     cochain1_to_payload,
     cochain2_to_payload,
+    cochain_from_payload,
     emit_document,
     make_document,
     metric_to_payload,
@@ -24,7 +28,12 @@ from hjj.documents import (
     scalar_form_to_payload,
 )
 from hjj.metric import MetricAlgebra
+from hjj.quadratic import compute_H2Q
 from hjj.representations import Representation
+from hjj.scalars import format_scalar
+
+from .gen import random_cochain1, random_cochain2, random_pair, random_quadratic
+from .oracles import BruteAlgebra, brute_h2_dims
 
 
 @pytest.fixture
@@ -292,6 +301,25 @@ def test_catalog_commands(files, capsys, tmp_path):
     assert code == 0
 
 
+# SHA-256 of the stdout of `hjj --json catalog list`, then of `hjj --json catalog
+# verify` for every entry at every point of DEFAULT_GRID + (0,), in catalog order:
+# names, parameters, constraint texts, tags and kinds, residuals and verdicts
+CATALOG_SURFACE_SHA256 = "fabe4167cf32fb1eb96c7902fa9b022001191acb429eb7ea9bfae0adf60e4270"
+
+
+def test_printed_catalog_surface_is_pinned(capsys):
+    digest = hashlib.sha256()
+    code, out, _ = run(capsys, "--json", "catalog", "list")
+    digest.update(out.encode())
+    for entry in catalog_list():
+        for combo in product(DEFAULT_GRID + (QQ(0),), repeat=len(entry.params)):
+            params = ",".join(f"{k}={format_scalar(v)}" for k, v in zip(entry.params, combo))
+            code, out, err = run(capsys, "--json", "catalog", "verify", entry.name, f"--params={params}")
+            assert code in (0, 1) and err == "", (entry.name, params, err)
+            digest.update(out.encode())
+    assert digest.hexdigest() == CATALOG_SURFACE_SHA256
+
+
 def test_classify_cli(files, capsys, tmp_path, monkeypatch):
     out_path = str(tmp_path / "classify.json")
     code, out, _ = run(capsys, "classify", "--dim", "2", "--grid", "2,4,-2", "-o", out_path)
@@ -555,3 +583,74 @@ def test_mutated_argv_keeps_exit_contract(files, monkeypatch, data):
             code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(10), redirect_stdout(out), redirect_stderr(err):
+        code = main(["--json", *argv])
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    return code, out.getvalue()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2**32 - 1))
+def test_valid_documents_reach_the_mathematics(tmp_path, seed):
+    """Random valid (algebra, representation) and quadratic pairs as documents:
+    cohomology with representatives, extend on each representative and on a
+    random cochain, verify on each extension, equivalent on a representative
+    and a cohomologous shift of it, h2q, twofold and metric verify on its
+    output.  extend exits 0 exactly on a cocycle and 2 otherwise; the others
+    exit 0 or 1."""
+    rng = random.Random(seed)
+
+    def write(name, kind, payload):
+        path = str(tmp_path / name)
+        with open(path, "w") as fh:
+            fh.write(emit_document(make_document(kind, payload)))
+        return path
+
+    algebra, rep = random_pair(rng)
+    a_path = write("algebra.json", "algebra", algebra_to_payload(algebra))
+    r_path = write("rep.json", "representation", representation_to_payload(rep))
+    code, out = _cli("cohomology", "--algebra", a_path, "--rep", r_path, "--representatives")
+    assert code == 0
+    report = json.loads(out)
+    dims = (report["dim_C2"], report["dim_Z2"], report["dim_B2"], report["dim_H2"])
+    if rep.vdim == 1:
+        n = algebra.dim
+        brackets = {(i, j): list(algebra.bracket_basis(i, j)) for i in range(n) for j in range(i, n)}
+        alpha = [[algebra.alpha.entry(i, j) for j in range(n)] for i in range(n)]
+        rho = [r.entry(0, 0) for r in rep.rho]
+        assert dims == brute_h2_dims(BruteAlgebra(n, brackets, alpha, rep.beta.entry(0, 0), rho))
+    representatives = report["representatives"]
+    theta = random_cochain2(rng, rep)
+    cochains = [(payload, True) for payload in representatives] + [(cochain2_to_payload(theta), d2(theta).is_zero())]
+    for k, (payload, cocycle) in enumerate(cochains):
+        path, ext = write(f"theta{k}.json", "cochain", payload), str(tmp_path / f"ext{k}.json")
+        code, _ = _cli("extend", "--algebra", a_path, "--rep", r_path, "--cocycle", path, "-o", ext)
+        assert code == (0 if cocycle else 2)
+        if cocycle:
+            assert _cli("verify", ext)[0] in (0, 1)
+    base = cochain_from_payload(representatives[0], rep=rep) if representatives else Cochain2.zero(rep)
+    first = write("first.json", "cochain", cochain2_to_payload(base))
+    second = write("shifted.json", "cochain", cochain2_to_payload(base + d1(random_cochain1(rng, rep))))
+    code, _ = _cli("equivalent", "--algebra", a_path, "--rep", r_path, "--theta1", first, "--theta2", second)
+    assert code == 0
+
+    qalgebra, qrep = random_quadratic(rng)
+    qa_path = write("qalgebra.json", "algebra", algebra_to_payload(qalgebra))
+    q_path = write("qrep.json", "representation", representation_to_payload(qrep.rep, form=qrep.form))
+    assert _cli("quadratic", "h2q", "--algebra", qa_path, "--qrep", q_path)[0] == 0
+    # the quadratic cocycle perfbench's quadratic workload builds: a linear H2_Q's first theta, else (0, 0)
+    h2q = compute_H2Q(qalgebra, qrep)
+    linear = h2q.kind == "linear" and h2q.theta_representatives
+    qtheta = h2q.theta_representatives[0] if linear else Cochain2.zero(qrep.rep)
+    t_path = write("qtheta.json", "cochain", cochain2_to_payload(qtheta))
+    g_path = write("gamma.json", "cochain", scalar_form_to_payload(ScalarForm.zero(qalgebra.dim, 3)))
+    twofold = str(tmp_path / "twofold.json")
+    code, _ = _cli("quadratic", "twofold", "--algebra", qa_path, "--qrep", q_path,
+                   "--theta", t_path, "--gamma", g_path, "-o", twofold)
+    assert code in (0, 1)
+    assert _cli("metric", "verify", twofold)[0] in (0, 1)
